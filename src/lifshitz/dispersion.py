@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import least_squares
 
 from .constants import C_LIGHT, ev_to_rad_per_s
 from .errors import TableFormatError
@@ -128,6 +126,9 @@ class TabulatedPermittivity:
         self._log_z = np.log(zeta)
         self._log_e = np.log(eps - 1.0)
         if zeta.size >= 4:
+            # scipy is imported here, not at module level: only tables
+            # need it, and it dominates the package's import time
+            from scipy.interpolate import CubicSpline
             self._spline = CubicSpline(self._log_z, self._log_e)
         else:
             self._spline = None
@@ -137,6 +138,8 @@ class TabulatedPermittivity:
 
     def _fit_drude_tail(self) -> DrudeModel:
         """Least-squares Drude fit to the lowest decade of the table."""
+        from scipy.optimize import least_squares
+
         in_decade = self.zeta <= 10.0 * self.zeta[0]
         if np.count_nonzero(in_decade) < 2:
             in_decade = np.zeros_like(in_decade)

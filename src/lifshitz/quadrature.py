@@ -11,7 +11,12 @@ meshes. Two rules are provided:
 
 Meshes are built row-wise: ``breaks`` with shape (R, P+1) produce node
 and weight matrices of shape (R, P*n) so a whole batch of integrals is
-one array evaluation.
+one array evaluation. The Matsubara terms need no per-row mesh: every
+row's panels are one reference table shifted by the row's lower limit,
+so ``core`` builds that reference mesh once, at import, with
+``gk_panels``, adds each row's shift to its nodes and contracts all
+rows against the same (panels, 15) weight tables, at most 64 rows per
+evaluation to bound the working set.
 """
 
 from __future__ import annotations
@@ -106,19 +111,6 @@ def gl_panels(breaks: np.ndarray, n: int = 16):
     """Gauss-Legendre nodes and weights over panel meshes."""
     x, w = _leggauss(n)
     return _panel_nodes(breaks, x, w)
-
-
-def integrate_rows(values: np.ndarray, wk: np.ndarray, wg: np.ndarray | None = None):
-    """Contract integrand values with panel weights along the last axis.
-
-    Returns the Kronrod value, and |K - G| as error estimate when the
-    embedded weights are supplied.
-    """
-    val = np.sum(values * wk, axis=-1)
-    if wg is None:
-        return val
-    err = np.abs(val - np.sum(values * wg, axis=-1))
-    return val, err
 
 
 def log1mexp(w):

@@ -94,8 +94,8 @@ def free_energy_T0(gap: float, model: ReflectionModel, tol: float = 1e-8,
     estimate; ``max_evals`` caps the number of integrand evaluations.
     Raises ConvergenceError carrying the best estimate if the cap is hit.
     """
-    if not gap > 0.0:
-        raise ValueError(f"gap must be > 0 m, got {gap}")
+    if not (gap > 0.0 and math.isfinite(gap)):
+        raise ValueError(f"gap must be finite and > 0 m, got {gap}")
     if not 0.0 < tol <= 1e-2:
         raise ValueError(f"tol must be in (0, 1e-2], got {tol}")
     rects = [(_V_BREAKS[i], _V_BREAKS[i + 1], _W_BREAKS[j], _W_BREAKS[j + 1])

@@ -108,6 +108,14 @@ class TestPressure:
         assert res.pressure < 0.0
         assert res.te_part < 0.0 and res.tm_part < 0.0
 
+    def test_tail_has_the_sign_of_the_terms(self):
+        for system in (GOLD_1UM_300K, PlateSystem(1e-6, 1.0, GOLD)):
+            res = pressure(system)
+            assert res.pressure < 0.0
+            assert -1e-3 * abs(res.pressure) < res.tail_estimate < 0.0
+            res = free_energy(system)
+            assert -1e-3 * abs(res.total) < res.tail_estimate < 0.0
+
     def test_matches_gap_derivative_of_free_energy(self):
         a, h = 1e-6, 1e-10
         p = pressure(GOLD_1UM_300K, tol=1e-10).pressure
@@ -131,10 +139,10 @@ class TestPressure:
 
 class TestPlateSystem:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PlateSystem(0.0, 300.0, GOLD)
-        with pytest.raises(ValueError):
-            PlateSystem(1e-6, -1.0, GOLD)
+        for gap, temp in ((0.0, 300.0), (1e-6, -1.0), (math.inf, 300.0),
+                          (1e-6, math.inf), (math.nan, 300.0)):
+            with pytest.raises(ValueError):
+                PlateSystem(gap, temp, GOLD)
 
     def test_matsubara_term_validation(self):
         with pytest.raises(ValueError):

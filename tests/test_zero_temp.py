@@ -69,7 +69,8 @@ def test_budget_exhaustion_carries_estimate():
 
 
 def test_invalid_args():
-    with pytest.raises(ValueError):
-        free_energy_T0(-1e-6, GOLD)
+    for gap in (-1e-6, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            free_energy_T0(gap, GOLD)
     with pytest.raises(ValueError):
         free_energy_T0(1e-6, GOLD, tol=0.0)
