@@ -24,6 +24,21 @@ The m = 0 term never comes from a zeta -> 0 numerical limit; its
 reflection coefficients are the analytic limits supplied by
 ``zero_mode_coefficients`` (Drude-like metals lose the TE zero mode,
 the plasma model keeps a q-dependent one).
+
+The sum is evaluated in blocks of terms (m = 1..64, then 65..192). It
+stops at the first term below tol |sum| / 10 that is smaller than the
+one before; this covers room temperature and most sums above a few
+kelvin. A sum still running at m = 192 (cryogenic temperatures, where
+a direct sum needs 10^3 to 10^5 terms) keeps m = 0..190 explicit and
+gets the rest from the Euler-Maclaurin formula
+
+    sum_{m>M} h(m) = Integral_M^inf h(u) du - h(M)/2 - h'(M)/12 + h'''(M)/720,
+
+with h = S_TM + S_TE at zeta_1 u and M = 190. The integral takes about
+200 more rows of the same evaluator, on Gauss-Kronrod panels in
+v = ln(1 + 2 a zeta / c), so its cost does not grow as T falls. If the
+error estimate of the tail misses tol (in practice only for tol below
+about 1e-11), the direct sum goes on instead.
 """
 
 from __future__ import annotations
@@ -38,7 +53,8 @@ from .constants import C_LIGHT, K_BOLTZMANN, matsubara_frequency
 from .dispersion import (ConstantPermittivity, DispersionModel, DrudeModel,
                          PlasmaModel, TabulatedPermittivity)
 from .errors import ConvergenceError
-from .quadrature import adaptive_gk, fsum, gk_panels, inv_expm1, log1mexp
+from .quadrature import (adaptive_gk, euler_maclaurin_endpoint, fsum, gk_panels,
+                         inv_expm1, log1mexp)
 
 
 @dataclass(frozen=True)
@@ -93,6 +109,16 @@ class MatsubaraTerm:
 
 @dataclass(frozen=True)
 class FreeEnergyResult:
+    """Free energy per unit area, J/m^2.
+
+    ``terms`` holds the explicit terms m = 0 .. ``m_max`` (m = 0 with
+    its half weight); ``total``, ``te_part`` and ``tm_part`` also hold
+    the Euler-Maclaurin tail when one was used. ``tail_estimate`` has
+    the sign of the terms: it is the geometric estimate of the dropped
+    tail when the direct sum stopped, or the error estimate of the
+    Euler-Maclaurin tail (``m_max`` is then 190).
+    """
+
     total: float
     te_part: float
     tm_part: float
@@ -103,6 +129,8 @@ class FreeEnergyResult:
 
 @dataclass(frozen=True)
 class PressureResult:
+    """Casimir pressure, Pa; the fields mean what they do in FreeEnergyResult."""
+
     pressure: float
     te_part: float
     tm_part: float
@@ -269,16 +297,25 @@ def _zero_mode_log_reflection(model: ReflectionModel, q):
     raise TypeError(f"unsupported model {model!r}")
 
 
+# The kernels work in the ln_r buffer, which they overwrite: each fresh
+# grid-sized temporary of a (rows, 435) batch costs page faults. Callers
+# hand over arrays they own (fresh from the ln R functions).
 def _energy_kernel(y, ln_r):
     if ln_r is None:
         return np.zeros_like(y)
-    return y * log1mexp(y - ln_r)
+    w = np.subtract(y, ln_r, out=ln_r)
+    log1mexp(w, out=w)
+    w *= y
+    return w
 
 
 def _pressure_kernel(y, ln_r):
     if ln_r is None:
         return np.zeros_like(y)
-    return y * y * inv_expm1(y - ln_r)
+    w = np.subtract(y, ln_r, out=ln_r)
+    inv_expm1(w, out=w)
+    w *= y * y
+    return w
 
 
 _KERNELS: dict[str, Callable] = {
@@ -387,15 +424,102 @@ def _first(mask) -> int:
     return int(np.argmax(mask)) if mask.any() else mask.size
 
 
-def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
-    """Shared truncated-sum driver for free energy and pressure.
+# Euler-Maclaurin tail. A sum that has not stopped by the end of its
+# second block (m = _EM_SWITCH) is summed explicitly up to M = _EM_M and
+#
+#   sum_{m>M} h(m) = Integral_M^inf h(u) du - h(M)/2 - h'(M)/12 + h'''(M)/720
+#
+# gives the rest, with h = S_TM + S_TE at zeta1 u and the derivatives
+# from h(M +- 1), h(M +- 2) of the same block. The integral runs in
+# v = ln(1 + y0), y0 = kappa u (as in zero_temp), on GK15 panels over
+# fixed breaks clipped to start at v(M). It ends at y0 = 60: past that
+# the terms are below e^-60 of the first ones.
+_EM_SWITCH = 192
+_EM_M = 190
+_TAIL_BREAKS = np.array([1e-4, 1e-3, 0.01, 0.05, 0.15, 0.3, 0.5, 0.8,
+                         1.2, 1.7, 2.3, 3.0, 3.5, math.log(61.0)])
+_TAIL_PANEL_CAP = 32  # panels the tail may bisect up to before it gives up
 
-    Returns (terms_tm, terms_te, term_errors, last_m, tail) in reduced
-    S units; prefactors are applied by the callers. The tail carries
-    the sign of the terms. Blocks of terms are decided as arrays: the
-    running sum is a cumsum seeded with the sum so far (sequential, so
-    it equals term-by-term accumulation), and the first row that needs
-    refinement, stops the sum or is not finite decides what happens.
+
+def _tail_panels(model, gap, zeta1, kind, lo, hi):
+    """Tail integral over the v panels [lo, hi], one entry per panel.
+
+    Returns (tm, te, gk_err, row_err): Kronrod values, |Kronrod - Gauss|
+    summed over both polarizations, and the rows' own quadrature errors
+    weighted by |weight * du/dv|.
+    """
+    kappa = 2.0 * gap * zeta1 / C_LIGHT
+    v, wk, wg = gk_panels(np.stack([lo, hi], axis=-1))
+    jac = np.exp(v) / kappa  # du/dv
+    s_tm, s_te, e_tm, e_te = mode_integrals(
+        model, gap, zeta1 * (np.expm1(v) / kappa).ravel(), kind)
+    f_tm = s_tm.reshape(v.shape) * jac
+    f_te = s_te.reshape(v.shape) * jac
+    tm, te = (f_tm * wk).sum(axis=-1), (f_te * wk).sum(axis=-1)
+    gk_err = np.abs(tm - (f_tm * wg).sum(axis=-1)) + np.abs(te - (f_te * wg).sum(axis=-1))
+    row_err = (np.abs(wk * jac) * (e_tm + e_te).reshape(v.shape)).sum(axis=-1)
+    return tm, te, gk_err, row_err
+
+
+def _em_tail(model, gap, zeta1, kind, tol, h_tm, h_te, head, kept):
+    """Euler-Maclaurin tail sum_{m > _EM_M} in reduced units.
+
+    ``h_tm``, ``h_te`` hold the terms at M-2 .. M+2 and ``head`` the sum
+    through M; ``kept`` gives the partial sum reported if a tail row is
+    not finite. Returns (tail_tm, tail_te, error), or None when the
+    error estimate (Kronrod - Gauss, row errors, |h'''(M)|/720) misses
+    tol * |total| / 10 within the panel budget.
+    """
+    v_m = math.log1p(2.0 * gap * zeta1 * _EM_M / C_LIGHT)
+    breaks = np.concatenate(([v_m], _TAIL_BREAKS[_TAIL_BREAKS > v_m]))
+    lo, hi = breaks[:-1], breaks[1:]
+    if lo.size == 0:
+        return None
+    near = [0, 1, 3, 4]
+    c_tm, last_tm = euler_maclaurin_endpoint(h_tm[near])
+    c_te, last_te = euler_maclaurin_endpoint(h_te[near])
+    ends_tm, ends_te = c_tm - 0.5 * h_tm[2], c_te - 0.5 * h_te[2]
+    tm, te, gk_err, row_err = _tail_panels(model, gap, zeta1, kind, lo, hi)
+    while True:
+        if not np.all(np.isfinite(tm + te)):
+            _raise_non_finite(kept, "Euler-Maclaurin tail")
+        tail_tm, tail_te = fsum(tm) + ends_tm, fsum(te) + ends_te
+        target = tol * abs(head + tail_tm + tail_te) / 10.0
+        fixed = float(row_err.sum()) + abs(last_tm + last_te)
+        error = fixed + float(gk_err.sum())
+        if error <= target:
+            return tail_tm, tail_te, error
+        if fixed > target or lo.size >= _TAIL_PANEL_CAP:
+            return None
+        k = min(4, lo.size)  # bisect the k worst panels
+        worst = np.argpartition(gk_err, -k)[-k:]
+        mid = 0.5 * (lo[worst] + hi[worst])
+        new_lo, new_hi = np.concatenate([lo[worst], mid]), np.concatenate([mid, hi[worst]])
+        new = _tail_panels(model, gap, zeta1, kind, new_lo, new_hi)
+        keep = np.ones(lo.size, dtype=bool)
+        keep[worst] = False
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        tm, te, gk_err, row_err = (np.concatenate([old[keep], part])
+                                   for old, part in zip((tm, te, gk_err, row_err), new))
+
+
+def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
+    """Shared sum driver for free energy and pressure.
+
+    Returns (terms_tm, terms_te, term_errors, last_m, tail, (tail_tm,
+    tail_te)) in reduced S units; prefactors are applied by the
+    callers. The terms are the explicit ones, m = 0 .. last_m.
+
+    Blocks of terms are decided as arrays: the running sum is a cumsum
+    seeded with the sum so far (sequential, so it equals term-by-term
+    accumulation), and the first row that needs refinement, stops the
+    sum or is not finite decides what happens. A sum that stops there
+    has a zero (tail_tm, tail_te) and ``tail`` is the geometric tail
+    estimate. A sum still running at m = _EM_SWITCH, with m_max that
+    far, ends at last_m = _EM_M with the Euler-Maclaurin tail in
+    (tail_tm, tail_te) and its error estimate as ``tail``; if that
+    estimate misses tol, the direct sum goes on. ``tail`` carries the
+    sign of the terms.
     """
     model, a, temp = system.model, system.gap, system.temperature
     quad_tol = tol / 10.0
@@ -403,7 +527,7 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
     kept = [(np.array([0.5 * s0_tm]), np.array([0.5 * s0_te]), np.array([0.5 * e0]))]
     acc = 0.5 * (s0_tm + s0_te)
     if not math.isfinite(acc):
-        _raise_non_finite([], 0)
+        _raise_non_finite([], "term m = 0")
     prev_total = math.inf  # the stop rule needs m > 5, so this never decides
     m_next = 1
     block = 64
@@ -435,15 +559,25 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
                 continue
             if i_bad < i_stop:
                 kept.append((s_tm[:i_bad], s_te[:i_bad], errs[:i_bad]))
-                _raise_non_finite(kept, int(ms[i_bad]))
+                _raise_non_finite(kept, f"term m = {ms[i_bad]}")
             if i_stop < ms.size:
                 kept.append((s_tm[:i_stop + 1], s_te[:i_stop + 1], errs[:i_stop + 1]))
                 terms_tm, terms_te, errors = (np.concatenate(c) for c in zip(*kept))
                 ratio = mags[i_stop] / abs(prevs[i_stop])
                 tail = mags[i_stop] * ratio / (1.0 - ratio)
                 return (terms_tm, terms_te, errors, int(ms[i_stop]),
-                        math.copysign(tail, totals[i_stop]))
+                        math.copysign(tail, totals[i_stop]), (0.0, 0.0))
             break
+        if ms[-1] == _EM_SWITCH:
+            i = _EM_M - int(ms[0])  # row of M in this block
+            head = kept + [(s_tm[:i + 1], s_te[:i + 1], errs[:i + 1])]
+            em = _em_tail(model, a, zeta1, kind, tol, s_tm[i - 2:i + 3],
+                          s_te[i - 2:i + 3], after[i], head)
+            if em is not None:
+                tail_tm, tail_te, error = em
+                terms_tm, terms_te, errors = (np.concatenate(c) for c in zip(*head))
+                return (terms_tm, terms_te, errors, _EM_M,
+                        math.copysign(error, totals[i]), (tail_tm, tail_te))
         kept.append((s_tm, s_te, errs))
         acc = after[-1]
         prev_total = totals[-1]
@@ -463,9 +597,9 @@ def _partial_sum(kept) -> float:
     return fsum(np.concatenate(terms_tm)) + fsum(np.concatenate(terms_te))
 
 
-def _raise_non_finite(kept, m: int):
-    """Stop on a non-finite term m; the estimate sums the finite terms before it."""
-    raise ConvergenceError(f"Matsubara term m = {m} is not finite",
+def _raise_non_finite(kept, what: str):
+    """Stop on a non-finite term or tail; the estimate sums the finite terms before it."""
+    raise ConvergenceError(f"Matsubara {what} is not finite",
                            best_estimate=_partial_sum(kept), error_estimate=math.inf)
 
 
@@ -474,19 +608,26 @@ def free_energy(system: PlateSystem, tol: float = 1e-6,
     """Helmholtz free energy per unit area, J/m^2 (negative: attraction).
 
     ``tol`` controls both the summation truncation rule and the
-    per-term quadrature target (tol/10).
+    per-term quadrature target (tol/10). A sum that stops by m = 192
+    returns its terms, its last index as ``m_max`` and the geometric
+    estimate of the dropped tail as ``tail_estimate``. A longer sum
+    ends its explicit terms at ``m_max`` = 190 and adds the
+    Euler-Maclaurin tail to ``total``, ``te_part`` and ``tm_part``;
+    ``tail_estimate`` is then the error estimate of that tail, within
+    tol * |total| / 10. The ``m_max`` argument caps the direct sum.
     """
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol must be in (0, 1e-4], got {tol}")
     kT = K_BOLTZMANN * system.temperature
     pref = kT / (8.0 * math.pi * system.gap ** 2)
     try:
-        terms_tm, terms_te, _, last_m, tail = _matsubara_sum(system, "energy", tol, m_max)
+        terms_tm, terms_te, _, last_m, tail, (tail_tm, tail_te) = _matsubara_sum(
+            system, "energy", tol, m_max)
     except ConvergenceError as exc:
         raise ConvergenceError(str(exc), best_estimate=pref * exc.best_estimate,
                                error_estimate=pref * exc.error_estimate) from None
-    tm = pref * fsum(terms_tm)
-    te = pref * fsum(terms_te)
+    tm = pref * fsum(np.append(terms_tm, tail_tm))
+    te = pref * fsum(np.append(terms_te, tail_te))
     terms = (pref * (terms_tm + terms_te)).tolist()
     return FreeEnergyResult(total=tm + te, te_part=te, tm_part=tm,
                             terms=terms, m_max=last_m,
@@ -495,18 +636,24 @@ def free_energy(system: PlateSystem, tol: float = 1e-6,
 
 def pressure(system: PlateSystem, tol: float = 1e-6,
              m_max: int = 500_000) -> PressureResult:
-    """Casimir pressure between the plates, Pa (negative: attraction)."""
+    """Casimir pressure between the plates, Pa (negative: attraction).
+
+    Summed as ``free_energy`` sums, with the same meaning of ``tol``,
+    ``m_max`` and ``tail_estimate`` on the direct and the
+    Euler-Maclaurin paths.
+    """
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol must be in (0, 1e-4], got {tol}")
     kT = K_BOLTZMANN * system.temperature
     pref = -kT / (8.0 * math.pi * system.gap ** 3)
     try:
-        terms_tm, terms_te, _, last_m, tail = _matsubara_sum(system, "pressure", tol, m_max)
+        terms_tm, terms_te, _, last_m, tail, (tail_tm, tail_te) = _matsubara_sum(
+            system, "pressure", tol, m_max)
     except ConvergenceError as exc:
         raise ConvergenceError(str(exc), best_estimate=pref * exc.best_estimate,
                                error_estimate=abs(pref) * exc.error_estimate) from None
-    tm = pref * fsum(terms_tm)
-    te = pref * fsum(terms_te)
+    tm = pref * fsum(np.append(terms_tm, tail_tm))
+    te = pref * fsum(np.append(terms_te, tail_te))
     return PressureResult(pressure=tm + te, te_part=te, tm_part=tm,
                           m_max=last_m, tail_estimate=pref * tail)
 

@@ -34,6 +34,10 @@ def _validated_zeta(zeta):
     return z
 
 
+def _positive(x) -> bool:
+    return x > 0.0 and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class DrudeModel:
     """Free-electron response with relaxation.
@@ -45,8 +49,9 @@ class DrudeModel:
     nu: float
 
     def __post_init__(self):
-        if not (self.omega_p > 0.0 and self.nu > 0.0):
-            raise ValueError("DrudeModel requires omega_p > 0 and nu > 0")
+        if not (_positive(self.omega_p) and _positive(self.nu)):
+            raise ValueError("DrudeModel requires finite omega_p > 0 and nu > 0, "
+                             f"got {self.omega_p}, {self.nu}")
 
     def eps_minus_one(self, zeta):
         z = _validated_zeta(zeta)
@@ -68,8 +73,8 @@ class PlasmaModel:
     omega_p: float
 
     def __post_init__(self):
-        if not self.omega_p > 0.0:
-            raise ValueError("PlasmaModel requires omega_p > 0")
+        if not _positive(self.omega_p):
+            raise ValueError(f"PlasmaModel requires finite omega_p > 0, got {self.omega_p}")
 
     def eps_minus_one(self, zeta):
         z = _validated_zeta(zeta)
@@ -86,8 +91,8 @@ class ConstantPermittivity:
     value: float
 
     def __post_init__(self):
-        if not self.value >= 1.0:
-            raise ValueError("ConstantPermittivity requires eps >= 1")
+        if not (self.value >= 1.0 and math.isfinite(self.value)):
+            raise ValueError(f"ConstantPermittivity requires finite eps >= 1, got {self.value}")
 
     def eps_minus_one(self, zeta):
         z = _validated_zeta(zeta)
@@ -115,6 +120,8 @@ class TabulatedPermittivity:
         eps = np.asarray(eps, dtype=float)
         if zeta.ndim != 1 or zeta.size < 2 or zeta.shape != eps.shape:
             raise TableFormatError("need at least two (zeta, eps) samples")
+        if not (np.all(np.isfinite(zeta)) and np.all(np.isfinite(eps))):
+            raise TableFormatError("all zeta and eps must be finite")
         if np.any(zeta <= 0.0):
             raise TableFormatError("all zeta must be > 0")
         if np.any(np.diff(zeta) <= 0.0):

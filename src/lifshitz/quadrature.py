@@ -17,6 +17,10 @@ so ``core`` builds that reference mesh once, at import, with
 ``gk_panels``, adds each row's shift to its nodes and contracts all
 rows against the same (panels, 15) weight tables, at most 64 rows per
 evaluation to bound the working set.
+
+``euler_maclaurin_endpoint`` is the one endpoint correction shared by
+the sum-minus-integral engine of ``thermo`` and the Euler-Maclaurin
+tail of the Matsubara sum in ``core``.
 """
 
 from __future__ import annotations
@@ -113,23 +117,55 @@ def gl_panels(breaks: np.ndarray, n: int = 16):
     return _panel_nodes(breaks, x, w)
 
 
-def log1mexp(w):
-    """log(1 - exp(-w)) for w > 0, accurate at both ends."""
+def log1mexp(w, out=None):
+    """log(1 - exp(-w)) for w > 0, accurate at both ends.
+
+    ``out`` may be ``w`` itself, which the result then overwrites.
+    """
     w = np.asarray(w, dtype=float)
+    if out is None:
+        out = np.empty_like(w)
+    # the two branches of the classic log1mexp switch, each ufunc
+    # masked with where= rather than gathering and scattering subsets;
+    # rows with y0 > ln 2 have no node on the expm1 branch
     small = w < math.log(2.0)
-    out = np.empty_like(w)
-    # two branches of the classic log1mexp switch
+    large = ~small if small.any() else True
     with np.errstate(divide="ignore"):
-        out[small] = np.log(-np.expm1(-w[small]))
-    out[~small] = np.log1p(-np.exp(-w[~small]))
+        np.negative(w, out=out)
+        np.expm1(out, out=out, where=small)
+        np.exp(out, out=out, where=large)
+        np.negative(out, out=out)
+        np.log(out, out=out, where=small)
+        np.log1p(out, out=out, where=large)
     return out
 
 
-def inv_expm1(w):
-    """1 / (exp(w) - 1) for w > 0, underflowing cleanly to zero."""
+def inv_expm1(w, out=None):
+    """1 / (exp(w) - 1) for w > 0, underflowing cleanly to zero.
+
+    ``out`` may be ``w`` itself, which the result then overwrites.
+    """
     w = np.asarray(w, dtype=float)
+    if out is None:
+        out = np.empty_like(w)
     with np.errstate(over="ignore"):
-        return 1.0 / np.expm1(w)
+        np.expm1(w, out=out)
+        return np.divide(1.0, out, out=out)
+
+
+def euler_maclaurin_endpoint(h_near):
+    """Endpoint correction -h'(M)/12 + h'''(M)/720 of Euler-Maclaurin.
+
+    ``h_near`` holds h at M-2, M-1, M+1 and M+2 (unit spacing) along
+    its first axis; both derivatives come from 5-point central
+    stencils. With it, sum_{m>M} h(m) = Integral_M^inf h du - h(M)/2
+    + correction. Returns (correction, h'''(M)/720): the second is the
+    last term kept, whose size bounds the truncated rest of the series.
+    """
+    hm2, hm1, hp1, hp2 = h_near
+    d1 = (hm2 - 8.0 * hm1 + 8.0 * hp1 - hp2) / 12.0
+    d3 = (-hm2 + 2.0 * hm1 - 2.0 * hp1 + hp2) / 2.0
+    return -d1 / 12.0 + d3 / 720.0, d3 / 720.0
 
 
 def fsum(values) -> float:

@@ -36,7 +36,7 @@ from .core import (IdealMetal, PlateSystem, ReflectionModel, TmOnlyIdealMetal,
                    mode_integrals, pressure, zero_mode_integrals)
 from .dispersion import DrudeModel
 from .errors import PrecisionError, RegimeError
-from .quadrature import fsum, gl_panels
+from .quadrature import euler_maclaurin_endpoint, fsum, gl_panels
 
 _EPS = np.finfo(float).eps
 
@@ -73,11 +73,10 @@ def sum_minus_integral(h: Callable, m_star: int = 128):
     integrand = (t_weights * 2.0 * t_nodes).ravel() * hq
     delta = fsum(sum_terms) - fsum(integrand)
 
-    # endpoint derivative corrections at M from 5-point central stencils
-    hm2, hm1, hp1, hp2 = hv[m_star - 2], hv[m_star - 1], hv[m_star + 1], hv[m_star + 2]
-    d1 = (hm2 - 8.0 * hm1 + 8.0 * hp1 - hp2) / 12.0
-    d3 = (-hm2 + 2.0 * hm1 - 2.0 * hp1 + hp2) / 2.0
-    delta += -d1 / 12.0 + d3 / 720.0
+    # Euler-Maclaurin endpoint corrections at M
+    correction, _ = euler_maclaurin_endpoint(hv[[m_star - 2, m_star - 1,
+                                                m_star + 1, m_star + 2]])
+    delta += correction
 
     noise = _EPS * (np.abs(sum_terms).sum() + np.abs(integrand).sum())
     return delta, noise

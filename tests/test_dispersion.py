@@ -130,6 +130,21 @@ class TestTabulated:
             TabulatedPermittivity(np.array([1.0, 0.5]), np.array([2.0, 2.0]))
         with pytest.raises(TableFormatError):
             TabulatedPermittivity(np.array([1.0, 2.0]), np.array([2.0, 0.9]))
+        for bad in (math.inf, math.nan):
+            with pytest.raises(TableFormatError):
+                TabulatedPermittivity(np.array([1.0, 2.0]), np.array([2.0, bad]))
+            with pytest.raises(TableFormatError):
+                TabulatedPermittivity(np.array([1.0, bad]), np.array([2.0, 2.0]))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("build", [
+    lambda x: DrudeModel(x, 1.0), lambda x: DrudeModel(1.0, x),
+    lambda x: PlasmaModel(x), lambda x: ConstantPermittivity(x),
+], ids=["drude-omega_p", "drude-nu", "plasma", "constant"])
+def test_models_reject_non_finite_parameters(build, bad):
+    with pytest.raises(ValueError):
+        build(bad)
 
 
 class TestLoader:
