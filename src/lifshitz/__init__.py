@@ -11,9 +11,8 @@ from .dispersion import (GOLD, GOLD_NU_EV, GOLD_OMEGA_P_EV,
                          ConstantPermittivity, DrudeModel, PlasmaModel,
                          TabulatedPermittivity, load_permittivity_table)
 from .asymptotics import (AsymptoticCoefficients, AsymptoticContext,
-                          coefficients, delta_f_te_leading,
-                          euler_maclaurin_sum, g_of_m, g_slope_at_zero,
-                          pade_delta_f, te_slope_integral)
+                          coefficients, delta_f_te_leading, g_of_m,
+                          g_slope_at_zero, pade_delta_f, te_slope_integral)
 from .errors import (ConvergenceError, LifshitzError, PrecisionError,
                      RegimeError, TableFormatError)
 from .thermo import (LowTempFit, RSeries, classical_limit_check,
@@ -36,7 +35,7 @@ __all__ = [
     "ConvergenceError", "LifshitzError", "PrecisionError", "RegimeError",
     "TableFormatError",
     "AsymptoticCoefficients", "AsymptoticContext", "coefficients",
-    "delta_f_te_leading", "euler_maclaurin_sum", "g_of_m", "g_slope_at_zero",
+    "delta_f_te_leading", "g_of_m", "g_slope_at_zero",
     "pade_delta_f", "te_slope_integral",
     "LowTempFit", "RSeries", "classical_limit_check", "classical_pressure",
     "collect_lowtemp_samples", "default_fit_grid", "delta_f_te_numeric",

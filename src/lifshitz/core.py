@@ -174,12 +174,13 @@ _ROW_CAP = 64
 def _gk_integrate(values):
     """Row integrals over the reference mesh with a per-panel Kronrod error model.
 
-    ``values`` has shape (R, 435); returns (integrals, errors), each (R,).
+    ``values`` has shape (R, 435) and is overwritten (with its absolute
+    values); returns (integrals, errors), each (R,).
     """
     v = values.reshape(values.shape[:-1] + (_PANELS, 15))
     k_panel = np.einsum("rpn,pn->rp", v, _REF_WK)
     g_panel = np.einsum("rpn,pn->rp", v, _REF_WG)
-    scale = np.einsum("rpn,pn->rp", np.abs(v), _REF_WK)
+    scale = np.einsum("rpn,pn->rp", np.abs(v, out=v), _REF_WK)
     diff = np.abs(k_panel - g_panel)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(scale > 0.0, 200.0 * diff / np.maximum(scale, 1e-300), 0.0)

@@ -5,12 +5,11 @@ import pytest
 
 from lifshitz.asymptotics import (G_SLOPE_EXACT, AsymptoticCoefficients,
                                   AsymptoticContext, coefficients,
-                                  delta_f_te_leading, euler_maclaurin_sum,
-                                  g_of_m, g_slope_at_zero, pade_delta_f,
-                                  te_slope_integral)
+                                  delta_f_te_leading, g_of_m, g_slope_at_zero,
+                                  pade_delta_f, te_slope_integral)
 from lifshitz.constants import (C_LIGHT, HBAR, K_BOLTZMANN, TWO_LN2_MINUS_1)
 from lifshitz.dispersion import GOLD, DrudeModel
-from lifshitz.errors import PrecisionError, RegimeError
+from lifshitz.errors import RegimeError
 
 CTX_COLD = AsymptoticContext.from_material(GOLD, 1e-6, 1e-4)
 
@@ -158,44 +157,7 @@ class TestPade:
             assert abs(s) <= 3.0 * self.co.c1 * t
 
 
-class TestEulerMaclaurin:
-    """Oracle: g(u) = u e^{-u}, where sum'_{m>=0} g(m) - int_0^inf g du
-    = e/(e-1)^2 - 1 exactly, and the endpoint series gives
-    -g'(0)/12 + g'''(0)/720 = -1/12 + 3/720."""
-
-    def brute(self):
-        m = np.arange(0, 10000)
-        return float(np.sum(m * np.exp(-m))) - 1.0
-
-    def test_one_term(self):
-        est = euler_maclaurin_sum(lambda u: u * np.exp(-u), 1)
-        assert abs(est - (-1.0 / 12.0)) < 1e-6
-
-    def test_two_terms_match_series(self):
-        est = euler_maclaurin_sum(lambda u: u * np.exp(-u), 2)
-        assert abs(est - (-1.0 / 12.0 + 3.0 / 720.0)) < 1e-5
-
-    def test_two_terms_against_brute_force(self):
-        est = euler_maclaurin_sum(lambda u: u * np.exp(-u), 2)
-        exact = math.e / (math.e - 1.0) ** 2 - 1.0
-        assert abs(est - self.brute()) < 2e-4
-        assert abs(self.brute() - exact) < 1e-12
-
-    def test_linear_slope_reproduces_quadratic_coefficient(self):
-        # g'(0) = G_SLOPE_EXACT gives the (2 ln 2 - 1)/48 bracket
-        est = euler_maclaurin_sum(lambda u: G_SLOPE_EXACT * u * np.exp(-u ** 2), 1)
-        assert est == pytest.approx(-G_SLOPE_EXACT / 12.0, rel=1e-6)
-        assert est == pytest.approx(TWO_LN2_MINUS_1 / 48.0, rel=1e-6)
-
-    def test_zero_function(self):
-        assert euler_maclaurin_sum(lambda u: np.zeros_like(u), 1) == 0.0
-
-    def test_non_smooth_rejected(self):
-        with pytest.raises(PrecisionError):
-            euler_maclaurin_sum(lambda u: np.abs(u - 0.06), 2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            euler_maclaurin_sum(lambda u: u, 3)
-        with pytest.raises(ValueError):
-            euler_maclaurin_sum(lambda u: u, 1, h=0.0)
+def test_slope_constant_gives_the_quadratic_coefficient():
+    # -g'(0)/12, the leading Euler-Maclaurin term of sum' g - int g,
+    # is the (2 ln 2 - 1)/48 bracket of c1
+    assert -G_SLOPE_EXACT / 12.0 == TWO_LN2_MINUS_1 / 48.0

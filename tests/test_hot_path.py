@@ -131,9 +131,10 @@ def test_non_finite_tail_row_stops_the_sum(monkeypatch):
 
 
 def test_shifts_are_unchanged():
+    # pinned on the 26-panel GK15 t mesh of sum_minus_integral
     system = PlateSystem(1e-6, 1.0, GOLD)
     assert thermo.free_energy_shift(system) == 9.954686439292977e-14
-    assert thermo.pressure_shift(system) == 1.1371653564134029e-07
+    assert thermo.pressure_shift(system) == 1.1371653564140275e-07
 
 
 @pytest.mark.parametrize("scale", [1.0, 10.0, 30.0])

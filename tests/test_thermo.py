@@ -1,14 +1,20 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lifshitz import thermo
 from lifshitz.asymptotics import coefficients, pade_delta_f
 from lifshitz.constants import (C_LIGHT, HBAR, K_BOLTZMANN, ZETA3)
 from lifshitz.core import (IdealMetal, PlateSystem, TmOnlyIdealMetal,
                            free_energy, pressure)
 from lifshitz.dispersion import GOLD, PlasmaModel
 from lifshitz.errors import PrecisionError, RegimeError
+from lifshitz.quadrature import euler_maclaurin_endpoint, gl_panels, log1mexp
 from lifshitz.thermo import (classical_limit_check, classical_pressure,
                              collect_lowtemp_samples, default_fit_grid,
                              delta_f_te_numeric, entropy, fit_low_temp,
@@ -51,6 +57,126 @@ class TestSumMinusIntegral:
         with pytest.raises(ValueError):
             sum_minus_integral(lambda u: u, m_star=8)
 
+    def test_floor_counts_the_quadrature_error(self):
+        # e^{-u} cos(5u) oscillates about twice per t panel near t = 3:
+        # the quadrature error then stands far above the roundoff noise
+        exact = (1.0 / (1.0 - cmath.exp(-1.0 + 5.0j))).real - 0.5 - 1.0 / 26.0
+        delta, floor = sum_minus_integral(lambda u: np.exp(-u) * np.cos(5.0 * u))
+        assert 1e-13 < abs(delta - exact) <= floor
+
+    def test_h_is_evaluated_once_on_521_points(self):
+        sizes = []
+
+        def h(u):
+            sizes.append(u.size)
+            return np.exp(-u)
+
+        sum_minus_integral(h)
+        assert sizes == [521]
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.floats(0.2, 5.0), half_power=st.booleans())
+def test_floor_bounds_the_error_against_closed_forms(s, half_power):
+    """h = e^{-su} and sqrt(u) e^{-su}: sum' h = 1/(1 - e^{-s}) - 1/2 and
+    Li_{-1/2}(e^{-s}), Integral h = 1/s and sqrt(pi)/(2 s^{3/2})."""
+    with mpmath.workdps(40):
+        x, ms = mpmath.exp(-s), mpmath.mpf(s)
+        if half_power:
+            exact = mpmath.polylog(-0.5, x) - mpmath.sqrt(mpmath.pi) / (2 * ms ** 1.5)
+        else:
+            exact = 1 / (1 - x) - mpmath.mpf(0.5) - 1 / ms
+        exact = float(exact)
+    if half_power:
+        delta, floor = sum_minus_integral(lambda u: np.sqrt(u) * np.exp(-s * u))
+    else:
+        delta, floor = sum_minus_integral(lambda u: np.exp(-s * u))
+    assert abs(delta - exact) <= floor
+
+
+def _dense_sum_minus_integral(h, m_star=128):
+    """Dense reference engine: 51 Gauss-Legendre panels of 20 nodes in t."""
+    top = math.sqrt(m_star)
+    breaks = np.concatenate([[0.0], np.geomspace(1e-3, 0.4, 19),
+                             np.arange(0.75, top, 0.35), [top]])
+    t, w = gl_panels(breaks, n=20)
+    u_int = np.arange(0.0, m_star + 3.0)
+    values = h(np.concatenate([u_int, t * t]))
+    hv = values[:u_int.size]
+    terms = hv[:m_star + 1].copy()
+    terms[0] *= 0.5
+    terms[m_star] *= 0.5
+    integrand = w * 2.0 * t * values[u_int.size:]
+    correction, _ = euler_maclaurin_endpoint(hv[[m_star - 2, m_star - 1,
+                                                m_star + 1, m_star + 2]])
+    return math.fsum(terms) - math.fsum(integrand) + correction, 0.0
+
+
+def _dense_g_many(ctx, m):
+    """Dense reference for asymptotics._g_many: 56 x panels of 16 nodes."""
+    m = np.atleast_1d(np.asarray(m, dtype=float))
+    alpha = ctx.alpha(m)
+    x_min = np.sqrt(ctx.zeta(m) / ctx.d_ratio)
+    x_max = np.minimum(50.0 / alpha + 2.0 * x_min, 4e5)
+    ratio = (x_max / x_min) ** (1.0 / 56)
+    breaks = x_min[:, None] * ratio[:, None] ** np.arange(57)[None, :]
+    nodes, weights = gl_panels(breaks, n=16)
+    vals = nodes * log1mexp(alpha[:, None] * nodes + 4.0 * np.arcsinh(nodes))
+    return m * (vals * weights).sum(axis=1)
+
+
+def _brackets(call, dense):
+    """(delta, floor) that ``call`` gets from sum_minus_integral, on the
+    library's meshes or (``dense``) on the dense references."""
+    engine = _dense_sum_minus_integral if dense else sum_minus_integral
+    seen = []
+
+    def spy(h, m_star=128):
+        seen.append(engine(h, m_star=m_star))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thermo, "sum_minus_integral", spy)
+        if dense:
+            mp.setattr(thermo, "_g_many", _dense_g_many)
+        try:
+            call()
+        except PrecisionError:
+            pass
+    (out,) = seen
+    return out
+
+
+GAPS = (0.2e-6, 1e-6, 8e-6)
+
+
+class TestDenseMeshOracle:
+    """The GK15 t mesh and the 28 x 12 x mesh against the dense
+    references: the brackets agree within 5 floors (measured worst
+    0.75), also where the result is below the 50-floor rule and
+    raises."""
+
+    @pytest.mark.parametrize("kind", ["free_energy_shift", "pressure_shift"])
+    @pytest.mark.parametrize("model", [GOLD, PlasmaModel(GOLD.omega_p), IdealMetal()],
+                             ids=["gold", "plasma", "ideal"])
+    def test_shifts(self, model, kind):
+        for gap in GAPS:
+            for t in (1e-3, 0.05, 1.0, 10.0):
+                def call():
+                    return getattr(thermo, kind)(PlateSystem(gap, t, model))
+                delta, floor = _brackets(call, dense=False)
+                dense, _ = _brackets(call, dense=True)
+                assert abs(delta - dense) <= 5.0 * floor, (gap, t)
+
+    def test_te_expansion(self):
+        for gap in GAPS:
+            for t in (1e-3, 0.05):
+                def call():
+                    return delta_f_te_numeric(PlateSystem(gap, t, GOLD))
+                delta, floor = _brackets(call, dense=False)
+                dense, _ = _brackets(call, dense=True)
+                assert abs(delta - dense) <= 5.0 * floor, (gap, t)
+
 
 class TestDeltaFTeNumeric:
     def test_positive_and_increasing(self):
@@ -82,6 +208,23 @@ class TestDeltaFTeNumeric:
             reduced = delta_f_te_numeric(PlateSystem(1e-6, t, GOLD))
             exact = free_energy_shift(PlateSystem(1e-6, t, GOLD), polarization="te")
             assert reduced == pytest.approx(exact, rel=tol)
+
+    def test_tol_is_held_against_the_floor(self, monkeypatch):
+        system = PlateSystem(0.2e-6, 0.002, GOLD)
+        seen = []
+
+        def spy(h, m_star=128):
+            seen.append(sum_minus_integral(h, m_star=m_star))
+            return seen[-1]
+
+        monkeypatch.setattr(thermo, "sum_minus_integral", spy)
+        value = delta_f_te_numeric(system)
+        delta, floor = seen[0]
+        ratio = floor / abs(delta)
+        assert 0.0 < ratio < 1e-10
+        assert delta_f_te_numeric(system, tol=2.0 * ratio) == value
+        with pytest.raises(PrecisionError):
+            delta_f_te_numeric(system, tol=0.5 * ratio)
 
     def test_validation(self):
         with pytest.raises(TypeError):
