@@ -25,12 +25,15 @@ reflection coefficients are the analytic limits supplied by
 ``zero_mode_coefficients`` (Drude-like metals lose the TE zero mode,
 the plasma model keeps a q-dependent one).
 
-The sum is evaluated in blocks of terms (m = 1..64, then 65..192). It
-stops at the first term below tol |sum| / 10 that is smaller than the
-one before; this covers room temperature and most sums above a few
-kelvin. A sum still running at m = 192 (cryogenic temperatures, where
-a direct sum needs 10^3 to 10^5 terms) keeps m = 0..190 explicit and
-gets the rest from the Euler-Maclaurin formula
+The sum is evaluated in blocks of terms sized from their decay,
+e^{-kappa m} with kappa = 2 a zeta_1 / c: the first block ends near the
+predicted stop (8 to 64 terms), a longer sum runs on to m = 192. It
+stops at the first term smaller than the one before for which both the
+term and its geometric tail are below tol |sum| / 10; this covers room
+temperature and most sums above a few kelvin. A sum still running at
+m = 192 (cryogenic temperatures, where a direct sum needs 10^3 to 10^5
+terms) keeps m = 0..190 explicit and gets the rest from the
+Euler-Maclaurin formula
 
     sum_{m>M} h(m) = Integral_M^inf h(u) du - h(M)/2 - h'(M)/12 + h'''(M)/720,
 
@@ -111,9 +114,10 @@ class MatsubaraTerm:
 class FreeEnergyResult:
     """Free energy per unit area, J/m^2.
 
-    ``terms`` holds the explicit terms m = 0 .. ``m_max`` (m = 0 with
-    its half weight); ``total``, ``te_part`` and ``tm_part`` also hold
-    the Euler-Maclaurin tail when one was used. ``tail_estimate`` has
+    ``terms`` is a read-only float64 array of the explicit terms
+    m = 0 .. ``m_max`` (m = 0 with its half weight); ``total``,
+    ``te_part`` and ``tm_part`` also hold the Euler-Maclaurin tail when
+    one was used. ``tail_estimate`` has
     the sign of the terms: it is the geometric estimate of the dropped
     tail when the direct sum stopped, or the error estimate of the
     Euler-Maclaurin tail (``m_max`` is then 190).
@@ -122,7 +126,7 @@ class FreeEnergyResult:
     total: float
     te_part: float
     tm_part: float
-    terms: list
+    terms: np.ndarray
     m_max: int
     tail_estimate: float
 
@@ -425,8 +429,8 @@ def _first(mask) -> int:
     return int(np.argmax(mask)) if mask.any() else mask.size
 
 
-# Euler-Maclaurin tail. A sum that has not stopped by the end of its
-# second block (m = _EM_SWITCH) is summed explicitly up to M = _EM_M and
+# Euler-Maclaurin tail. A sum that has not stopped by the end of the
+# block that ends at m = _EM_SWITCH is summed explicitly up to M = _EM_M and
 #
 #   sum_{m>M} h(m) = Integral_M^inf h(u) du - h(M)/2 - h'(M)/12 + h'''(M)/720
 #
@@ -504,6 +508,32 @@ def _em_tail(model, gap, zeta1, kind, tol, h_tm, h_te, head, kept):
                                    for old, part in zip((tm, te, gk_err, row_err), new))
 
 
+def _block_ends(kappa: float, tol: float):
+    """Last index m of each block of the direct sum, in order.
+
+    Terms fall like r^m, r = e^{-kappa}, kappa = 2 a zeta_1 / c, and the
+    sum stops once a term and its geometric tail r/(1-r) times it are
+    below tol |sum| / 10. With L = ln(10/tol) + max(0, ln(r/(1-r))) that
+    predicts the stop near m = L / kappa; the y^2 (pressure) or y
+    (energy) factor of the kernels delays it, which 2 ln L / kappa more
+    covers. The first block ends there (8 to 64 rows); a sum running
+    past 64 goes on to the prediction if it lies below 188, then to
+    _EM_SWITCH, whose block holds the h(M +- 2) stencil of the tail.
+    After that blocks double up to 1024 rows. The prediction only sizes
+    blocks: the stop rule decides, so a miss costs a block, not accuracy.
+    """
+    big_l = math.log(10.0 / tol) + max(0.0, -kappa - math.log(-math.expm1(-kappa)))
+    predicted = math.ceil(min((big_l + 2.0 * math.log(big_l)) / kappa, _EM_SWITCH))
+    first = min(max(predicted, 8), 64)
+    yield first
+    if first < predicted < _EM_M - 2:
+        yield predicted
+    end, block = _EM_SWITCH, 256
+    while True:
+        yield end
+        end, block = end + block, min(2 * block, 1024)
+
+
 def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
     """Shared sum driver for free energy and pressure.
 
@@ -511,16 +541,21 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
     tail_te)) in reduced S units; prefactors are applied by the
     callers. The terms are the explicit ones, m = 0 .. last_m.
 
-    Blocks of terms are decided as arrays: the running sum is a cumsum
-    seeded with the sum so far (sequential, so it equals term-by-term
-    accumulation), and the first row that needs refinement, stops the
-    sum or is not finite decides what happens. A sum that stops there
-    has a zero (tail_tm, tail_te) and ``tail`` is the geometric tail
-    estimate. A sum still running at m = _EM_SWITCH, with m_max that
-    far, ends at last_m = _EM_M with the Euler-Maclaurin tail in
-    (tail_tm, tail_te) and its error estimate as ``tail``; if that
-    estimate misses tol, the direct sum goes on. ``tail`` carries the
-    sign of the terms.
+    Blocks of terms, sized by ``_block_ends``, are decided as arrays:
+    the running sum is a cumsum seeded with the sum so far (sequential,
+    so it equals term-by-term accumulation, and no value depends on
+    where blocks end), and the first row that needs refinement, stops
+    the sum or is not finite decides what happens. A sum stops at a
+    term smaller than the one before when the term and the geometric
+    tail it implies are both below tol |sum| / 10; it then has a zero
+    (tail_tm, tail_te) and ``tail`` is that geometric tail. A sum still
+    running at m = _EM_SWITCH, with m_max that far, ends at last_m =
+    _EM_M with the Euler-Maclaurin tail in (tail_tm, tail_te) and its
+    error estimate as ``tail``; if that estimate misses tol, the direct
+    sum goes on. ``tail`` carries the sign of the terms. A sum that
+    reaches ``m_max`` raises
+    ConvergenceError with the geometric tail of its last two terms as
+    the error estimate.
     """
     model, a, temp = system.model, system.gap, system.temperature
     quad_tol = tol / 10.0
@@ -531,11 +566,11 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
         _raise_non_finite([], "term m = 0")
     prev_total = math.inf  # the stop rule needs m > 5, so this never decides
     m_next = 1
-    block = 64
     zeta1 = matsubara_frequency(1, temp)
+    ends = _block_ends(2.0 * a * zeta1 / C_LIGHT, tol)
 
     while m_next <= m_max:
-        ms = np.arange(m_next, min(m_next + block, m_max + 1))
+        ms = np.arange(m_next, min(next(ends), m_max) + 1)
         s_tm, s_te, e_tm, e_te = mode_integrals(model, a, zeta1 * ms, kind)
         totals = s_tm + s_te
         errs = e_tm + e_te
@@ -547,7 +582,11 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
             mags = np.abs(totals)
             refine = errs > quad_tol * np.maximum(mags, 1e-4 * np.abs(before))
             refine[:checked] = False
-            stop = (ms > 5) & (mags < tol * np.abs(after) / 10.0) & (mags < np.abs(prevs))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = mags / np.abs(prevs)
+                tails = mags * ratios / (1.0 - ratios)
+            stop = ((ms > 5) & (mags < np.abs(prevs))
+                    & (np.maximum(mags, tails) < tol * np.abs(after) / 10.0))
             i_ref, i_stop = _first(refine), _first(stop)
             i_bad = _first(~np.isfinite(totals))
             if i_ref < ms.size and i_ref <= min(i_stop, i_bad):
@@ -564,10 +603,8 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
             if i_stop < ms.size:
                 kept.append((s_tm[:i_stop + 1], s_te[:i_stop + 1], errs[:i_stop + 1]))
                 terms_tm, terms_te, errors = (np.concatenate(c) for c in zip(*kept))
-                ratio = mags[i_stop] / abs(prevs[i_stop])
-                tail = mags[i_stop] * ratio / (1.0 - ratio)
                 return (terms_tm, terms_te, errors, int(ms[i_stop]),
-                        math.copysign(tail, totals[i_stop]), (0.0, 0.0))
+                        math.copysign(tails[i_stop], totals[i_stop]), (0.0, 0.0))
             break
         if ms[-1] == _EM_SWITCH:
             i = _EM_M - int(ms[0])  # row of M in this block
@@ -583,12 +620,22 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
         acc = after[-1]
         prev_total = totals[-1]
         m_next = int(ms[-1]) + 1
-        block = min(2 * block, 1024)
 
-    best = _partial_sum(kept)
     raise ConvergenceError(
         f"Matsubara sum not converged after m = {m_max}",
-        best_estimate=best, error_estimate=abs(best) * tol)
+        best_estimate=_partial_sum(kept), error_estimate=_geometric_tail(kept))
+
+
+def _geometric_tail(kept) -> float:
+    """|t| r / (1 - r) from the last two kept terms, r = |t / t_prev|; inf if r >= 1."""
+    totals = np.concatenate([tm + te for tm, te, _ in kept])
+    if totals.size < 2:
+        return math.inf
+    last, prev = abs(totals[-1]), abs(totals[-2])
+    if not last < prev:
+        return math.inf
+    ratio = last / prev
+    return last * ratio / (1.0 - ratio)
 
 
 def _partial_sum(kept) -> float:
@@ -629,7 +676,8 @@ def free_energy(system: PlateSystem, tol: float = 1e-6,
                                error_estimate=pref * exc.error_estimate) from None
     tm = pref * fsum(np.append(terms_tm, tail_tm))
     te = pref * fsum(np.append(terms_te, tail_te))
-    terms = (pref * (terms_tm + terms_te)).tolist()
+    terms = pref * (terms_tm + terms_te)
+    terms.flags.writeable = False
     return FreeEnergyResult(total=tm + te, te_part=te, tm_part=tm,
                             terms=terms, m_max=last_m,
                             tail_estimate=pref * tail)

@@ -199,11 +199,6 @@ GOLD_NU_EV = 0.0345
 GOLD = DrudeModel(ev_to_rad_per_s(GOLD_OMEGA_P_EV), ev_to_rad_per_s(GOLD_NU_EV))
 
 
-def epsilon_at(model: DispersionModel, zeta):
-    """Permittivity of ``model`` at imaginary frequency ``zeta`` (rad/s)."""
-    return model.epsilon(zeta)
-
-
 def zeta_sq_times_eps_minus_one(model: DispersionModel, zeta):
     """zeta^2 (eps(i zeta) - 1); its zeta -> 0 limit decides whether the
     transverse-electric zero mode survives."""

@@ -10,7 +10,7 @@ from lifshitz.constants import ev_to_rad_per_s
 from lifshitz.dispersion import (GOLD, GOLD_NU_EV, GOLD_OMEGA_P_EV,
                                  ConstantPermittivity, DrudeModel,
                                  PlasmaModel, TabulatedPermittivity,
-                                 epsilon_at, load_permittivity_table,
+                                 load_permittivity_table,
                                  zeta_sq_times_eps_minus_one)
 from lifshitz.errors import TableFormatError
 
@@ -195,7 +195,7 @@ class TestLoader:
 def test_epsilon_above_one_everywhere(zeta):
     """On the imaginary axis every causal metal model gives eps > 1."""
     for model in (GOLD, PlasmaModel(GOLD.omega_p)):
-        assert epsilon_at(model, zeta) > 1.0
+        assert model.epsilon(zeta) > 1.0
 
 
 @given(st.floats(min_value=1e10, max_value=1e17),

@@ -7,6 +7,7 @@ converged references: a direct sum at tol = 1e-13, a brute-force fsum
 over mode_integrals rows, and the ideal-metal closed form.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -20,13 +21,14 @@ from lifshitz.dispersion import GOLD, PlasmaModel, TabulatedPermittivity
 from lifshitz.errors import ConvergenceError
 
 # (quantity, gap m, T K, m_max, value) at tol = 1e-6 with gold Drude.
-# The first two stop by the direct rule and are pinned at rel 1e-12. The
-# rest take the tail (m_max 190) and are pinned at rel 1e-9 to the direct
-# sum at tol = 1e-13; the tail agrees with an fsum over all rows to about
-# 1e-15, so these references carry the larger error.
+# The first stops by the direct rule and is pinned at rel 1e-12. The
+# rest take the tail (m_max 190) and are pinned at rel 1e-9. The 0.2 um,
+# 77 K reference is _brute_force (the tail agrees to 2e-16); the others
+# are the direct sum at tol = 1e-13, and the tail agrees with an fsum
+# over all rows to about 1e-15, so these references carry the larger error.
 GOLDEN = [
     (pressure, 3e-6, 300.0, 6, -1.0330449337929284e-05),
-    (pressure, 0.2e-6, 77.0, 176, -0.49235233991334737),
+    (pressure, 0.2e-6, 77.0, 190, -0.49235285763641823),
     (pressure, 1e-6, 1.0, 190, -0.0011417329100101175),
     (free_energy, 1e-6, 1.0, 190, -3.914138512927074e-10),
     (free_energy, 0.5e-6, 0.3, 190, -2.892047437297777e-09),
@@ -186,6 +188,111 @@ def test_row_values_do_not_depend_on_the_batch(model, kind):
         alone = mode_integrals(model, 1e-6, zetas[row:row + 1], kind)
         for whole, single in zip(batch, alone):
             assert whole[row] == single[0]
+
+
+# the room-temperature grid of the block-schedule tests, run on each of _MODELS
+_GRID = [(quantity, gap, temp, tol)
+         for quantity in (free_energy, pressure)
+         for gap in (0.2e-6, 0.5e-6, 1e-6, 3e-6, 8e-6)
+         for temp in (77.0, 300.0, 350.0)
+         for tol in (1e-6, 1e-9)]
+
+
+def _fixed_blocks(kappa, tol):
+    """Reference schedule, blind to the decay: 64 rows, to m = 192, then doubling."""
+    yield from (64, 192, 448, 960)
+    yield from itertools.count(1984, 1024)
+
+
+def _fields(res):
+    return {k: tuple(v) if isinstance(v, np.ndarray) else v for k, v in vars(res).items()}
+
+
+def test_block_ends_keep_the_tail_stencil_in_one_block():
+    predicted_seconds = set()
+    for kappa in np.geomspace(1e-4, 1e4, 8000):  # 1e4: a 3 mm gap at 600 K
+        for tol in (1e-4, 1e-6, 1e-9, 1e-13):
+            ends = list(itertools.islice(core._block_ends(float(kappa), tol), 7))
+            assert 8 <= ends[0] <= 64
+            assert all(lo < hi for lo, hi in zip(ends, ends[1:]))
+            i = ends.index(core._EM_SWITCH)
+            assert i in (1, 2) and ends[i - 1] <= core._EM_M - 3  # rows 188..192 together
+            assert ends[i:] == list(itertools.islice(_fixed_blocks(0.0, tol), 1, 8 - i))
+            if i == 2:
+                predicted_seconds.add(ends[1])
+    assert max(predicted_seconds) == core._EM_M - 3  # the grid reaches the limit
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=["drude", "plasma", "table"])
+def test_block_schedule_does_not_change_results(model, monkeypatch):
+    # rows do not depend on their batch and the running sum is sequential,
+    # so where blocks end changes nothing: value, m_max, terms, tail_estimate
+    predicted = [quantity(PlateSystem(gap, temp, model), tol=tol)
+                 for quantity, gap, temp, tol in _GRID]
+    monkeypatch.setattr(core, "_block_ends", _fixed_blocks)
+    for res, (quantity, gap, temp, tol) in zip(predicted, _GRID):
+        assert _fields(res) == _fields(quantity(PlateSystem(gap, temp, model), tol=tol))
+
+
+def test_rows_evaluated_stay_near_terms_kept(monkeypatch):
+    rows, tails = [], []
+    real_modes, real_tail = core.mode_integrals, core._em_tail
+
+    def counting(model, gap, zetas, kind="energy"):
+        rows.append(np.size(zetas))
+        return real_modes(model, gap, zetas, kind)
+
+    def spying_tail(*args):
+        tails.append(args)
+        return real_tail(*args)
+
+    monkeypatch.setattr(core, "mode_integrals", counting)
+    monkeypatch.setattr(core, "_em_tail", spying_tail)
+    evaluated = kept = 0
+    for model in _MODELS:
+        for quantity, gap, temp, tol in _GRID:
+            rows.clear()
+            tails.clear()
+            res = quantity(PlateSystem(gap, temp, model), tol=tol)
+            if not tails:  # stopped by the direct rule, by m = 192
+                evaluated += sum(rows)
+                kept += res.m_max
+    assert kept > 4000
+    assert evaluated <= 1.35 * kept
+
+
+@pytest.mark.parametrize("quantity, kind, power, sign, gap", [
+    (pressure, "pressure", 3, -1.0, 0.2e-6), (free_energy, "energy", 2, 1.0, 0.28e-6)])
+def test_slowly_decaying_sum_meets_tol(quantity, kind, power, sign, gap):
+    # terms fall by about e^-0.1 per step at 77 K: a term below tol |sum| / 10
+    # can still leave a geometric tail 10 times larger behind it
+    tol, temp = 1e-6, 77.0
+    res = quantity(PlateSystem(gap, temp, GOLD), tol=tol)
+    pref = sign * K_BOLTZMANN * temp / (8.0 * math.pi * gap ** power)
+    exact = pref * _brute_force(GOLD, gap, temp, kind)
+    assert abs(_value(res) - exact) <= tol * abs(exact)
+    if res.m_max < core._EM_M:  # the direct rule stopped it: the tail bounds the error
+        assert abs(_value(res) - exact) <= 1.01 * abs(res.tail_estimate)
+
+
+def test_convergence_error_reports_the_geometric_tail():
+    system = PlateSystem(1e-6, 1.0, GOLD)
+    converged = free_energy(system, tol=1e-9).total
+    with pytest.raises(ConvergenceError) as err:
+        free_energy(system, tol=1e-6, m_max=39)
+    missing = abs(converged - err.value.best_estimate)
+    assert missing <= err.value.error_estimate <= 5.0 * missing
+    # the pressure terms still grow at m = 39: there is no geometric tail
+    with pytest.raises(ConvergenceError) as err:
+        pressure(system, tol=1e-6, m_max=39)
+    assert err.value.error_estimate == math.inf
+
+
+def test_free_energy_terms_are_a_read_only_array():
+    res = free_energy(PlateSystem(1e-6, 300.0, GOLD))
+    assert res.terms.dtype == np.float64 and len(res.terms) == res.m_max + 1
+    with pytest.raises(ValueError):
+        res.terms[0] = 0.0
 
 
 def test_flagged_row_is_refined_alone(monkeypatch):
