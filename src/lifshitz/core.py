@@ -25,12 +25,19 @@ reflection coefficients are the analytic limits supplied by
 ``zero_mode_coefficients`` (Drude-like metals lose the TE zero mode,
 the plasma model keeps a q-dependent one).
 
+Each y integral runs on GK15 panels at fixed offsets from its own y0.
+The zero mode and rows with y0 < e^0.3 - 1 use a dense 29-panel mesh
+whose geometric panels resolve the ln(1 - e^{-y}) endpoint layer; rows
+past it use a lean 11-panel mesh with 165 instead of 435 nodes, which
+agrees with the dense one to roundoff.
+
 The sum is evaluated in blocks of terms sized from their decay,
 e^{-kappa m} with kappa = 2 a zeta_1 / c: the first block ends near the
 predicted stop (8 to 64 terms), a longer sum runs on to m = 192. It
-stops at the first term smaller than the one before for which both the
-term and its geometric tail are below tol |sum| / 10; this covers room
-temperature and most sums above a few kelvin. A sum still running at
+stops at the first term smaller than the one before (or exactly zero,
+once it underflows) for which both the term and its geometric tail are
+below tol |sum| / 10; this covers room temperature and most sums above
+a few kelvin. A sum still running at
 m = 192 (cryogenic temperatures, where a direct sum needs 10^3 to 10^5
 terms) keeps m = 0..190 explicit and gets the rest from the
 Euler-Maclaurin formula
@@ -150,23 +157,40 @@ class CoefficientSurface:
     b_te: np.ndarray
 
 
-# graded offsets from the lower integration limit y0; the deep geometric
-# section resolves the ln(1 - e^{-y}) endpoint of near-unity reflectors,
-# the linear section the exponential decay out to y0 + 54
+# graded offsets from the lower integration limit y0 of the dense mesh;
+# the deep geometric section resolves the ln(1 - e^{-y}) endpoint of
+# near-unity reflectors at small y0, the linear section the exponential
+# decay out to y0 + 54. The zero mode, _refine_mode and rows below
+# _LEAN_Y0 use it.
 _Y_OFFSETS = np.array([
     0.0, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4,
     1e-3, 3e-3, 1e-2, 0.03, 0.1, 0.3, 0.6, 1.0, 1.6, 2.5,
     4.0, 6.0, 8.5, 11.5, 15.0, 19.0, 24.0, 30.0, 37.0, 45.0, 54.0,
 ])
 
+# offsets of the lean mesh, 11 panels for rows with y0 >= _LEAN_Y0: past
+# the endpoint layer these rows agree with a 600-panel reference to a few
+# 1e-15, and their error estimates stay below 5e-14 (metals) and 5e-13
+# (dielectrics) of the row's TM + TE value. A 9-panel mesh estimates up
+# to 2e-11, which would send rows to _refine_mode at tight tol. The
+# switch sits at v = ln(1 + y0) = 0.3, a break of _TAIL_BREAKS, so no
+# tail panel straddles the roundoff-level jump between the meshes.
+_LEAN_OFFSETS = np.array([0.0, 0.1, 0.3, 0.8, 1.6, 3.5, 6.5, 10.5, 16.0, 24.0, 36.0, 54.0])
+_LEAN_Y0 = math.expm1(0.3)
 
-# Every row's mesh is this table shifted by its own y0, so the panel
-# widths and both weight sets are row-independent: nodes and weights are
-# built once here and rows only add y0 to the reference nodes.
-_PANELS = _Y_OFFSETS.size - 1
-_REF_NODES, _REF_WK, _REF_WG = gk_panels(_Y_OFFSETS)
-_REF_WK = _REF_WK.reshape(_PANELS, 15)
-_REF_WG = _REF_WG.reshape(_PANELS, 15)
+
+def _reference_mesh(offsets):
+    """GK15 nodes on ``offsets`` and both weight sets, shaped (panels, 15)."""
+    nodes, wk, wg = gk_panels(offsets)
+    shape = (offsets.size - 1, 15)
+    return nodes, wk.reshape(shape), wg.reshape(shape)
+
+
+# Every row's mesh is one of these tables shifted by its own y0, so the
+# panel widths and both weight sets are row-independent: nodes and
+# weights are built once here and rows only add y0 to the reference nodes.
+_DENSE_MESH = _reference_mesh(_Y_OFFSETS)
+_LEAN_MESH = _reference_mesh(_LEAN_OFFSETS)
 
 # rows per evaluation in mode_integrals, so that a (rows, 435) float
 # temporary is 0.2 MB. Of caps from 32 to 1024 timed on the 76k-term
@@ -175,16 +199,17 @@ _REF_WG = _REF_WG.reshape(_PANELS, 15)
 _ROW_CAP = 64
 
 
-def _gk_integrate(values):
-    """Row integrals over the reference mesh with a per-panel Kronrod error model.
+def _gk_integrate(values, wk, wg):
+    """Row integrals over a reference mesh with a per-panel Kronrod error model.
 
-    ``values`` has shape (R, 435) and is overwritten (with its absolute
-    values); returns (integrals, errors), each (R,).
+    ``values`` has shape (R, nodes) and is overwritten (with its absolute
+    values); ``wk`` and ``wg`` are the mesh's (panels, 15) Kronrod and
+    Gauss weights. Returns (integrals, errors), each (R,).
     """
-    v = values.reshape(values.shape[:-1] + (_PANELS, 15))
-    k_panel = np.einsum("rpn,pn->rp", v, _REF_WK)
-    g_panel = np.einsum("rpn,pn->rp", v, _REF_WG)
-    scale = np.einsum("rpn,pn->rp", np.abs(v, out=v), _REF_WK)
+    v = values.reshape(values.shape[:-1] + wk.shape)
+    k_panel = np.einsum("rpn,pn->rp", v, wk)
+    g_panel = np.einsum("rpn,pn->rp", v, wg)
+    scale = np.einsum("rpn,pn->rp", np.abs(v, out=v), wk)
     diff = np.abs(k_panel - g_panel)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(scale > 0.0, 200.0 * diff / np.maximum(scale, 1e-300), 0.0)
@@ -330,46 +355,53 @@ _KERNELS: dict[str, Callable] = {
 
 
 def mode_integrals(model: ReflectionModel, gap: float, zetas, kind: str = "energy"):
-    """Reduced integrals S_TM, S_TE over a batch of Matsubara frequencies.
+    """Reduced integrals S_TM, S_TE over a 1-D batch of Matsubara frequencies.
 
     Returns (s_tm, s_te, err_tm, err_te), each shaped like ``zetas``.
-    Row r is integrated on the reference mesh shifted to start at its
-    own y0 = 2 a zeta_r / c (nodes ``y0 + _REF_NODES``, weights shared by
-    all rows). The mesh is therefore a smooth function of zeta, so these
-    values can be differenced between a sum over integers and an
-    integral over the continuous index without quadrature artefacts.
-    Rows are evaluated at most ``_ROW_CAP`` at a time to bound the
-    working set; a row's value does not depend on the batch it is in.
+    Row r is integrated on a reference mesh shifted to start at its own
+    y0 = 2 a zeta_r / c (nodes y0 + reference nodes, weights shared by
+    all rows): the lean mesh when y0 >= ``_LEAN_Y0``, else the dense one
+    that resolves the endpoint layer. On either side the mesh is a
+    smooth function of zeta, and the switch changes a row by roundoff
+    only, at v = ln(1 + y0) = 0.3, a panel break of the Euler-Maclaurin
+    tail. So these values can be differenced between a sum over integers
+    and an integral over the continuous index without quadrature
+    artefacts. The rows of each mesh are evaluated at most ``_ROW_CAP``
+    at a time to bound the working set and scattered back into place; a
+    row's value does not depend on the batch it is in.
     """
     zetas = np.atleast_1d(np.asarray(zetas, dtype=float))
     if np.any(zetas <= 0.0):
         raise ValueError("zetas must be > 0; the m = 0 term is analytic")
     kernel = _KERNELS[kind]
     out = np.zeros((4,) + zetas.shape)
-    for lo in range(0, zetas.size, _ROW_CAP):
-        rows = slice(lo, lo + _ROW_CAP)
-        zeta = zetas[rows]
-        y0 = (2.0 * gap / C_LIGHT) * zeta
-        nodes = y0[:, None] + _REF_NODES
-        p = nodes / y0[:, None]
-        ln_a, ln_b = _log_reflection(model, zeta[:, None], p)
-        out[0, rows], out[2, rows] = _gk_integrate(kernel(nodes, ln_a))
-        if ln_b is not None:
-            out[1, rows], out[3, rows] = _gk_integrate(kernel(nodes, ln_b))
+    y0s = (2.0 * gap / C_LIGHT) * zetas
+    lean = y0s >= _LEAN_Y0
+    for (ref_nodes, wk, wg), group in ((_DENSE_MESH, np.flatnonzero(~lean)),
+                                       (_LEAN_MESH, np.flatnonzero(lean))):
+        for lo in range(0, group.size, _ROW_CAP):
+            rows = group[lo:lo + _ROW_CAP]
+            y0 = y0s[rows, None]
+            nodes = y0 + ref_nodes
+            ln_a, ln_b = _log_reflection(model, zetas[rows, None], nodes / y0)
+            out[0, rows], out[2, rows] = _gk_integrate(kernel(nodes, ln_a), wk, wg)
+            if ln_b is not None:
+                out[1, rows], out[3, rows] = _gk_integrate(kernel(nodes, ln_b), wk, wg)
     s_tm, s_te, e_tm, e_te = out
     return s_tm, s_te, e_tm, e_te
 
 
 def zero_mode_integrals(model: ReflectionModel, gap: float, kind: str = "energy"):
-    """Full-weight m = 0 reduced integrals (S0_TM, S0_TE, error)."""
+    """Full-weight m = 0 reduced integrals (S0_TM, S0_TE, error) on the dense mesh."""
     kernel = _KERNELS[kind]
-    nodes = _REF_NODES[None, :]
+    ref_nodes, wk, wg = _DENSE_MESH
+    nodes = ref_nodes[None, :]
     ln_a, ln_b = _zero_mode_log_reflection(model, nodes / (2.0 * gap))
     s_tm = s_te = e_tm = e_te = np.zeros(1)
     if ln_a is not None:
-        s_tm, e_tm = _gk_integrate(kernel(nodes, ln_a))
+        s_tm, e_tm = _gk_integrate(kernel(nodes, ln_a), wk, wg)
     if ln_b is not None:
-        s_te, e_te = _gk_integrate(kernel(nodes, ln_b))
+        s_te, e_te = _gk_integrate(kernel(nodes, ln_b), wk, wg)
     return float(s_tm[0]), float(s_te[0]), float(e_tm[0] + e_te[0])
 
 
@@ -546,7 +578,8 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
     so it equals term-by-term accumulation, and no value depends on
     where blocks end), and the first row that needs refinement, stops
     the sum or is not finite decides what happens. A sum stops at a
-    term smaller than the one before when the term and the geometric
+    term smaller than the one before, or at one that underflowed to
+    exactly 0, when the term and the geometric
     tail it implies are both below tol |sum| / 10; it then has a zero
     (tail_tm, tail_te) and ``tail`` is that geometric tail. A sum still
     running at m = _EM_SWITCH, with m_max that far, ends at last_m =
@@ -584,8 +617,10 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
             refine[:checked] = False
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = mags / np.abs(prevs)
-                tails = mags * ratios / (1.0 - ratios)
-            stop = ((ms > 5) & (mags < np.abs(prevs))
+                tails = np.where(mags > 0.0, mags * ratios / (1.0 - ratios), 0.0)
+            # a term that underflowed to 0 stops the sum too: 0 < 0 fails
+            falling = (mags < np.abs(prevs)) | (mags == 0.0)
+            stop = ((ms > 5) & falling
                     & (np.maximum(mags, tails) < tol * np.abs(after) / 10.0))
             i_ref, i_stop = _first(refine), _first(stop)
             i_bad = _first(~np.isfinite(totals))

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from lifshitz import core, quadrature, thermo
-from lifshitz.constants import C_LIGHT, K_BOLTZMANN, ZETA3, matsubara_frequency
+from lifshitz.constants import C_LIGHT, K_BOLTZMANN, ZETA3, ev_to_rad_per_s, matsubara_frequency
 from lifshitz.core import (IdealMetal, PlateSystem, free_energy, mode_integrals,
                            pressure, zero_mode_integrals)
-from lifshitz.dispersion import GOLD, PlasmaModel, TabulatedPermittivity
+from lifshitz.dispersion import (GOLD, ConstantPermittivity, DrudeModel, PlasmaModel,
+                                 TabulatedPermittivity)
 from lifshitz.errors import ConvergenceError
 
 # (quantity, gap m, T K, m_max, value) at tol = 1e-6 with gold Drude.
@@ -136,7 +137,7 @@ def test_shifts_are_unchanged():
     # pinned on the 26-panel GK15 t mesh of sum_minus_integral
     system = PlateSystem(1e-6, 1.0, GOLD)
     assert thermo.free_energy_shift(system) == 9.954686439292977e-14
-    assert thermo.pressure_shift(system) == 1.1371653564140275e-07
+    assert thermo.pressure_shift(system) == 1.1371653564140272e-07
 
 
 @pytest.mark.parametrize("scale", [1.0, 10.0, 30.0])
@@ -184,10 +185,107 @@ _MODELS = [GOLD, PlasmaModel(GOLD.omega_p), TabulatedPermittivity(_ZS, GOLD.epsi
 def test_row_values_do_not_depend_on_the_batch(model, kind):
     zetas = matsubara_frequency(1, 1.0) * np.arange(1.0, 301.0) ** 1.7
     batch = mode_integrals(model, 1e-6, zetas, kind)
-    for row in (0, 63, 64, 200, 299):
+    for row in (0, 10, 11, 63, 64, 200, 299):  # rows 10, 11: the last dense, the first lean
         alone = mode_integrals(model, 1e-6, zetas[row:row + 1], kind)
         for whole, single in zip(batch, alone):
             assert whole[row] == single[0]
+
+
+# models of the dense-mesh row oracle (metals, a lossy Drude metal,
+# dielectrics, the ideal metal) with the bound on a lean row's error
+# estimate relative to its TM + TE value: a 9-panel mesh reaches 1.3e-13
+# on metals and 2e-11 on dielectrics, enough to refine rows at tol 1e-12
+_ORACLE_MODELS = [(GOLD, 5e-14), (PlasmaModel(GOLD.omega_p), 5e-14),
+                  (DrudeModel(GOLD.omega_p, ev_to_rad_per_s(1.0)), 5e-14),
+                  (ConstantPermittivity(1.5), 5e-13), (ConstantPermittivity(3.0), 5e-13),
+                  (IdealMetal(), 5e-14)]
+# 600 GK15 panels from y0: geometric into the endpoint layer, then 0.15 wide to y0 + 60
+_DENSE_OFFSETS = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 201),
+                                 np.linspace(1.0, 60.0, 400)[1:]])
+
+
+@pytest.mark.parametrize("model, estimate_bound", _ORACLE_MODELS,
+                         ids=["drude", "plasma", "lossy", "eps1.5", "eps3", "ideal"])
+@pytest.mark.parametrize("kind", ["energy", "pressure"])
+def test_lean_rows_match_a_dense_mesh(model, estimate_bound, kind):
+    kernel = core._KERNELS[kind]
+    y0s = np.geomspace(core._LEAN_Y0 * (1.0 + 1e-12), 100.0, 12)
+    for gap in (0.1e-6, 1e-6, 10e-6):
+        zetas = y0s * C_LIGHT / (2.0 * gap)
+        s_tm, s_te, e_tm, e_te = mode_integrals(model, gap, zetas, kind)
+        assert np.all(e_tm + e_te <= estimate_bound * np.abs(s_tm + s_te))
+        for i, zeta in enumerate(zetas):
+            y0 = (2.0 * gap / C_LIGHT) * zeta  # the row's own y0, to the last bit
+            assert y0 >= core._LEAN_Y0
+            nodes, wk, _ = quadrature.gk_panels(y0 + _DENSE_OFFSETS)
+            ln_a, ln_b = core._log_reflection(model, zeta, nodes / y0)
+            for ln_r, value, error in ((ln_a, s_tm[i], e_tm[i]), (ln_b, s_te[i], e_te[i])):
+                if ln_r is None:
+                    assert value == error == 0.0
+                    continue
+                reference = math.fsum(wk * kernel(nodes, ln_r))
+                assert abs(value - reference) <= 4e-15 * abs(reference)
+                assert abs(value - reference) <= error
+
+
+# (gap, T): m_max of (free_energy, pressure) with gold at tol 1e-6, 1e-9, 1e-12
+_REFINE_CASES = {
+    (0.2e-6, 77.0): [(182, 190), (190, 190), (190, 190)],
+    (0.2e-6, 300.0): [(47, 52), (66, 72), (85, 92)],
+    (1e-6, 77.0): [(42, 47), (58, 63), (74, 80)],
+    (1e-6, 300.0): [(12, 13), (16, 17), (20, 21)],
+    (3e-6, 77.0): [(15, 17), (21, 22), (26, 28)],
+    (3e-6, 300.0): [(6, 6), (6, 6), (7, 8)],
+    (1e-6, 1.0): [(190, 190), (190, 190), (5718, 6170)],
+    (0.2e-6, 0.1): [(190, 190), (190, 190), (190, 190)],
+}
+# (gap, T, tol, quantity): where the plasma model's m_max differs from gold's
+_PLASMA_M_MAX = {(1e-6, 77.0, 1e-6, "pressure"): 46, (1e-6, 300.0, 1e-6, "free_energy"): 11,
+                 (1e-6, 1.0, 1e-12, "free_energy"): 5716, (1e-6, 1.0, 1e-12, "pressure"): 6168}
+
+
+@pytest.mark.parametrize("model", [GOLD, PlasmaModel(GOLD.omega_p)], ids=["drude", "plasma"])
+def test_lean_rows_send_no_sum_to_refinement(model, monkeypatch):
+    # the lean mesh's error estimates stay under quad_tol = tol / 10 down
+    # to tol = 1e-12: no row is refined, except the 12 the dense mesh
+    # already sends at 0.2 um, 0.1 K, and every sum keeps its length
+    refined = []
+    real_refine = core._refine_mode
+
+    def spying_refine(*args, **kwargs):
+        refined.append(args[2])
+        return real_refine(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_refine_mode", spying_refine)
+    for (gap, temp), m_maxes in _REFINE_CASES.items():
+        for tol, pair in zip((1e-6, 1e-9, 1e-12), m_maxes):
+            for quantity, m_max in zip((free_energy, pressure), pair):
+                if model is not GOLD:
+                    m_max = _PLASMA_M_MAX.get((gap, temp, tol, quantity.__name__), m_max)
+                refined.clear()
+                res = quantity(PlateSystem(gap, temp, model), tol=tol)
+                assert res.m_max == m_max
+                stress = model is GOLD and quantity is free_energy and (gap, temp, tol) == (
+                    0.2e-6, 0.1, 1e-12)
+                assert len(refined) == (12 if stress else 0)
+
+
+@pytest.mark.parametrize("gap", [50e-6, 100e-6])
+@pytest.mark.parametrize("quantity, kind, power, sign", [
+    (free_energy, "energy", 2, 1.0), (pressure, "pressure", 3, -1.0)])
+def test_sum_stops_when_terms_underflow(gap, quantity, kind, power, sign):
+    # kappa = 2 a zeta_1 / c is 160 to 330 here: the terms underflow to
+    # exactly 0 by m = 5, and 0 < 0 must not keep the sum running
+    temp, tol = 600.0, 1e-6
+    res = quantity(PlateSystem(gap, temp, GOLD), tol=tol, m_max=3000)
+    zeta1 = matsubara_frequency(1, temp)
+    s_tm, s_te, _, _ = mode_integrals(GOLD, gap, zeta1 * np.arange(1.0, 11.0), kind)
+    s0_tm, s0_te, _ = zero_mode_integrals(GOLD, gap, kind)
+    assert s_tm[4] == s_te[4] == 0.0
+    pref = sign * K_BOLTZMANN * temp / (8.0 * math.pi * gap ** power)
+    exact = pref * math.fsum([0.5 * s0_tm, 0.5 * s0_te, *s_tm, *s_te])
+    assert res.m_max == 6  # the first index the stop rule considers
+    assert _value(res) == pytest.approx(exact, rel=tol)
 
 
 # the room-temperature grid of the block-schedule tests, run on each of _MODELS
@@ -302,9 +400,9 @@ def test_flagged_row_is_refined_alone(monkeypatch):
     state = {"blocks": 0}
     refined = []
 
-    def inflating_gk(values):
-        val, err = real_gk(values)
-        if values.shape[0] == 64:  # the first 64-row chunk: TM, then TE
+    def inflating_gk(values, *mesh):
+        val, err = real_gk(values, *mesh)
+        if values.shape[0] == 63:  # the first block's dense rows m = 1..63: TM, then TE
             state["blocks"] += 1
             if state["blocks"] == 1:
                 err = err.copy()

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from lifshitz.constants import C_LIGHT, HBAR
 from lifshitz.core import IdealMetal, PlateSystem
 from lifshitz.dispersion import GOLD, PlasmaModel
 from lifshitz.errors import ConvergenceError
+from lifshitz import zero_temp
 from lifshitz.zero_temp import free_energy_T0, ideal_metal_T0
 
 
@@ -74,3 +76,16 @@ def test_invalid_args():
             free_energy_T0(gap, GOLD)
     with pytest.raises(ValueError):
         free_energy_T0(1e-6, GOLD, tol=0.0)
+
+
+def test_rect_blocks_match_rect_by_rect_evaluation():
+    # the 234 starting rects run in blocks of _RECT_BLOCK; each rect is
+    # independent, so the batch equals one rect at a time to the last bit
+    v, w = zero_temp._V_BREAKS, zero_temp._W_BREAKS
+    rects = [(v[i], v[i + 1], w[j], w[j + 1])
+             for i in range(v.size - 1) for j in range(w.size - 1)]
+    assert len(rects) == 234 and len(rects) % zero_temp._RECT_BLOCK != 0
+    batch = zero_temp._eval_rects(GOLD, 1e-6, rects)
+    single = [zero_temp._eval_rects(GOLD, 1e-6, [rect]) for rect in rects]
+    for whole, parts in zip(batch, zip(*single)):
+        assert np.array_equal(whole, np.concatenate(parts))
