@@ -32,23 +32,27 @@ past it use a lean 11-panel mesh with 165 instead of 435 nodes, which
 agrees with the dense one to roundoff.
 
 The sum is evaluated in blocks of terms sized from their decay,
-e^{-kappa m} with kappa = 2 a zeta_1 / c: the first block ends near the
-predicted stop (8 to 64 terms), a longer sum runs on to m = 192. It
-stops at the first term smaller than the one before (or exactly zero,
-once it underflows) for which both the term and its geometric tail are
-below tol |sum| / 10; this covers room temperature and most sums above
-a few kelvin. A sum still running at
-m = 192 (cryogenic temperatures, where a direct sum needs 10^3 to 10^5
-terms) keeps m = 0..190 explicit and gets the rest from the
-Euler-Maclaurin formula
+e^{-kappa m} with kappa = 2 a zeta_1 / c. It stops at the first term
+smaller than the one before (or exactly zero, once it underflows) for
+which both the term and its geometric tail are below tol |sum| / 10;
+this covers room temperature and most sums above a few kelvin. A sum
+predicted to stop by m = 192 runs its first block to the prediction
+(8 to 64 terms). A longer one (cryogenic temperatures, where a direct
+sum needs 10^3 to 10^5 terms) keeps m = 0..M explicit, at the first
+rung M of the ladder 32, 64, 189 whose remainder bound meets tol, and
+gets the rest from the Euler-Maclaurin formula
 
-    sum_{m>M} h(m) = Integral_M^inf h(u) du - h(M)/2 - h'(M)/12 + h'''(M)/720,
+    sum_{m>M} h(m) = Integral_M^inf h(u) du - h(M)/2 - h'(M)/12
+                     + h'''(M)/720 - h^(5)(M)/30240,
 
-with h = S_TM + S_TE at zeta_1 u and M = 190. The integral takes about
-200 more rows of the same evaluator, on Gauss-Kronrod panels in
-v = ln(1 + 2 a zeta / c), so its cost does not grow as T falls. If the
-error estimate of the tail misses tol (in practice only for tol below
-about 1e-11), the direct sum goes on instead.
+with h = S_TM + S_TE at zeta_1 u and the derivatives from 7-point
+stencils on h(M - 3 .. M + 3). The integral takes 75 to 200 more rows
+of the same evaluator, on Gauss-Kronrod panels in
+v = ln(1 + 2 a zeta / c), so its cost does not grow as T falls. A sum
+predicted to stop directly but still running at m = 192 tries the top
+rung. If the error estimate of the tail misses tol at every rung it
+tries (in practice only for tol below about 1e-12), the direct sum goes
+on instead.
 """
 
 from __future__ import annotations
@@ -124,10 +128,10 @@ class FreeEnergyResult:
     ``terms`` is a read-only float64 array of the explicit terms
     m = 0 .. ``m_max`` (m = 0 with its half weight); ``total``,
     ``te_part`` and ``tm_part`` also hold the Euler-Maclaurin tail when
-    one was used. ``tail_estimate`` has
-    the sign of the terms: it is the geometric estimate of the dropped
-    tail when the direct sum stopped, or the error estimate of the
-    Euler-Maclaurin tail (``m_max`` is then 190).
+    one was used. ``tail_estimate`` has the sign of the terms: it is the
+    geometric estimate of the dropped tail when the direct sum stopped,
+    or the error estimate of the Euler-Maclaurin tail (``m_max`` is then
+    the rung M where the tail starts: 32, 64 or 189).
     """
 
     total: float
@@ -461,18 +465,25 @@ def _first(mask) -> int:
     return int(np.argmax(mask)) if mask.any() else mask.size
 
 
-# Euler-Maclaurin tail. A sum that has not stopped by the end of the
-# block that ends at m = _EM_SWITCH is summed explicitly up to M = _EM_M and
+# Euler-Maclaurin tail. A sum with terms left past a rung M of _EM_RUNGS
+# is summed explicitly up to M and
 #
-#   sum_{m>M} h(m) = Integral_M^inf h(u) du - h(M)/2 - h'(M)/12 + h'''(M)/720
+#   sum_{m>M} h(m) = Integral_M^inf h(u) du - h(M)/2 - h'(M)/12
+#                    + h'''(M)/720 - h^(5)(M)/30240
 #
 # gives the rest, with h = S_TM + S_TE at zeta1 u and the derivatives
-# from h(M +- 1), h(M +- 2) of the same block. The integral runs in
+# from h(M - 3 .. M + 3) of the block that ends at M + 3. The bound on
+# the remainder (quadrature.euler_maclaurin_endpoint) falls fast with
+# M, so a sum predicted to run past _EM_SWITCH takes the first rung
+# whose remainder meets tol; a rung that misses costs no tail row. The
+# top rung puts its stencil on the block that ends at _EM_SWITCH, so a
+# sum predicted to stop directly but still running there takes the
+# same tail. The integral runs in
 # v = ln(1 + y0), y0 = kappa u (as in zero_temp), on GK15 panels over
 # fixed breaks clipped to start at v(M). It ends at y0 = 60: past that
 # the terms are below e^-60 of the first ones.
-_EM_SWITCH = 192
-_EM_M = 190
+_EM_RUNGS = (32, 64, 189)
+_EM_SWITCH = _EM_RUNGS[-1] + 3
 _TAIL_BREAKS = np.array([1e-4, 1e-3, 0.01, 0.05, 0.15, 0.3, 0.5, 0.8,
                          1.2, 1.7, 2.3, 3.0, 3.5, math.log(61.0)])
 _TAIL_PANEL_CAP = 32  # panels the tail may bisect up to before it gives up
@@ -498,31 +509,35 @@ def _tail_panels(model, gap, zeta1, kind, lo, hi):
     return tm, te, gk_err, row_err
 
 
-def _em_tail(model, gap, zeta1, kind, tol, h_tm, h_te, head, kept):
-    """Euler-Maclaurin tail sum_{m > _EM_M} in reduced units.
+def _em_tail(model, gap, zeta1, kind, tol, big_m, h_tm, h_te, head, kept):
+    """Euler-Maclaurin tail sum_{m > big_m} in reduced units.
 
-    ``h_tm``, ``h_te`` hold the terms at M-2 .. M+2 and ``head`` the sum
+    ``h_tm``, ``h_te`` hold the terms at M-3 .. M+3 and ``head`` the sum
     through M; ``kept`` gives the partial sum reported if a tail row is
     not finite. Returns (tail_tm, tail_te, error), or None when the
-    error estimate (Kronrod - Gauss, row errors, |h'''(M)|/720) misses
+    remainder bounds of the two polarizations already miss
+    tol * |head| / 10 (checked before any tail row), or when the error
+    estimate (Kronrod - Gauss, row errors, remainder) misses
     tol * |total| / 10 within the panel budget.
     """
-    v_m = math.log1p(2.0 * gap * zeta1 * _EM_M / C_LIGHT)
+    c_tm, rest_tm = euler_maclaurin_endpoint(h_tm, big_m)
+    c_te, rest_te = euler_maclaurin_endpoint(h_te, big_m)
+    remainder = float(rest_tm + rest_te)
+    if not remainder <= tol * abs(head) / 10.0:
+        return None
+    v_m = math.log1p(2.0 * gap * zeta1 * big_m / C_LIGHT)
     breaks = np.concatenate(([v_m], _TAIL_BREAKS[_TAIL_BREAKS > v_m]))
     lo, hi = breaks[:-1], breaks[1:]
     if lo.size == 0:
         return None
-    near = [0, 1, 3, 4]
-    c_tm, last_tm = euler_maclaurin_endpoint(h_tm[near])
-    c_te, last_te = euler_maclaurin_endpoint(h_te[near])
-    ends_tm, ends_te = c_tm - 0.5 * h_tm[2], c_te - 0.5 * h_te[2]
+    ends_tm, ends_te = c_tm - 0.5 * h_tm[3], c_te - 0.5 * h_te[3]
     tm, te, gk_err, row_err = _tail_panels(model, gap, zeta1, kind, lo, hi)
     while True:
         if not np.all(np.isfinite(tm + te)):
             _raise_non_finite(kept, "Euler-Maclaurin tail")
         tail_tm, tail_te = fsum(tm) + ends_tm, fsum(te) + ends_te
         target = tol * abs(head + tail_tm + tail_te) / 10.0
-        fixed = float(row_err.sum()) + abs(last_tm + last_te)
+        fixed = float(row_err.sum()) + remainder
         error = fixed + float(gk_err.sum())
         if error <= target:
             return tail_tm, tail_te, error
@@ -540,27 +555,41 @@ def _em_tail(model, gap, zeta1, kind, tol, h_tm, h_te, head, kept):
                                    for old, part in zip((tm, te, gk_err, row_err), new))
 
 
-def _block_ends(kappa: float, tol: float):
-    """Last index m of each block of the direct sum, in order.
+def _predicted_stop(kappa: float, tol: float) -> int:
+    """Index near which the direct sum stops, capped at _EM_SWITCH + 1.
 
     Terms fall like r^m, r = e^{-kappa}, kappa = 2 a zeta_1 / c, and the
     sum stops once a term and its geometric tail r/(1-r) times it are
     below tol |sum| / 10. With L = ln(10/tol) + max(0, ln(r/(1-r))) that
     predicts the stop near m = L / kappa; the y^2 (pressure) or y
     (energy) factor of the kernels delays it, which 2 ln L / kappa more
-    covers. The first block ends there (8 to 64 rows); a sum running
-    past 64 goes on to the prediction if it lies below 188, then to
-    _EM_SWITCH, whose block holds the h(M +- 2) stencil of the tail.
-    After that blocks double up to 1024 rows. The prediction only sizes
-    blocks: the stop rule decides, so a miss costs a block, not accuracy.
+    covers.
     """
     big_l = math.log(10.0 / tol) + max(0.0, -kappa - math.log(-math.expm1(-kappa)))
-    predicted = math.ceil(min((big_l + 2.0 * math.log(big_l)) / kappa, _EM_SWITCH))
-    first = min(max(predicted, 8), 64)
-    yield first
-    if first < predicted < _EM_M - 2:
-        yield predicted
-    end, block = _EM_SWITCH, 256
+    return math.ceil(min((big_l + 2.0 * math.log(big_l)) / kappa, _EM_SWITCH + 1))
+
+
+def _block_ends(predicted: int):
+    """Last index m of each block of the sum, in order.
+
+    A sum predicted to run past _EM_SWITCH ends its blocks at M + 3 for
+    each rung M, so the stencil rows M - 3 .. M + 3 of a rung share a
+    block. A shorter one ends its first block at the prediction (8 to
+    64 rows), its second there too if that lies below _EM_SWITCH - 6,
+    then at _EM_SWITCH, whose block holds the top rung's stencil. After
+    that blocks double up to 1024 rows. Rows do not depend on their
+    block, so the prediction only sizes blocks and picks the rungs to
+    try: the stop rule and the remainder decide.
+    """
+    if predicted > _EM_SWITCH:
+        yield from (rung + 3 for rung in _EM_RUNGS)
+    else:
+        first = min(max(predicted, 8), 64)
+        yield first
+        if first < predicted < _EM_SWITCH - 6:
+            yield predicted
+        yield _EM_SWITCH
+    end, block = _EM_SWITCH + 256, 512
     while True:
         yield end
         end, block = end + block, min(2 * block, 1024)
@@ -582,13 +611,14 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
     exactly 0, when the term and the geometric
     tail it implies are both below tol |sum| / 10; it then has a zero
     (tail_tm, tail_te) and ``tail`` is that geometric tail. A sum still
-    running at m = _EM_SWITCH, with m_max that far, ends at last_m =
-    _EM_M with the Euler-Maclaurin tail in (tail_tm, tail_te) and its
-    error estimate as ``tail``; if that estimate misses tol, the direct
-    sum goes on. ``tail`` carries the sign of the terms. A sum that
-    reaches ``m_max`` raises
-    ConvergenceError with the geometric tail of its last two terms as
-    the error estimate.
+    running at the end M + 3 of a rung's block (every rung of _EM_RUNGS
+    when the prediction passes _EM_SWITCH, else only the top one), with
+    m_max that far, tries the Euler-Maclaurin tail at M: if it meets
+    tol, the sum ends at last_m = M with the tail in (tail_tm, tail_te)
+    and its error estimate as ``tail``; if not, the direct sum goes on.
+    ``tail`` carries the sign of the terms. A sum that reaches ``m_max``
+    raises ConvergenceError with the geometric tail of its last two
+    terms as the error estimate.
     """
     model, a, temp = system.model, system.gap, system.temperature
     quad_tol = tol / 10.0
@@ -600,7 +630,9 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
     prev_total = math.inf  # the stop rule needs m > 5, so this never decides
     m_next = 1
     zeta1 = matsubara_frequency(1, temp)
-    ends = _block_ends(2.0 * a * zeta1 / C_LIGHT, tol)
+    predicted = _predicted_stop(2.0 * a * zeta1 / C_LIGHT, tol)
+    rungs = _EM_RUNGS if predicted > _EM_SWITCH else _EM_RUNGS[-1:]
+    ends = _block_ends(predicted)
 
     while m_next <= m_max:
         ms = np.arange(m_next, min(next(ends), m_max) + 1)
@@ -641,15 +673,16 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
                 return (terms_tm, terms_te, errors, int(ms[i_stop]),
                         math.copysign(tails[i_stop], totals[i_stop]), (0.0, 0.0))
             break
-        if ms[-1] == _EM_SWITCH:
-            i = _EM_M - int(ms[0])  # row of M in this block
+        big_m = int(ms[-1]) - 3
+        if big_m in rungs:
+            i = big_m - int(ms[0])  # row of M in this block
             head = kept + [(s_tm[:i + 1], s_te[:i + 1], errs[:i + 1])]
-            em = _em_tail(model, a, zeta1, kind, tol, s_tm[i - 2:i + 3],
-                          s_te[i - 2:i + 3], after[i], head)
+            em = _em_tail(model, a, zeta1, kind, tol, big_m, s_tm[i - 3:i + 4],
+                          s_te[i - 3:i + 4], after[i], head)
             if em is not None:
                 tail_tm, tail_te, error = em
                 terms_tm, terms_te, errors = (np.concatenate(c) for c in zip(*head))
-                return (terms_tm, terms_te, errors, _EM_M,
+                return (terms_tm, terms_te, errors, big_m,
                         math.copysign(error, totals[i]), (tail_tm, tail_te))
         kept.append((s_tm, s_te, errs))
         acc = after[-1]
@@ -691,13 +724,15 @@ def free_energy(system: PlateSystem, tol: float = 1e-6,
     """Helmholtz free energy per unit area, J/m^2 (negative: attraction).
 
     ``tol`` controls both the summation truncation rule and the
-    per-term quadrature target (tol/10). A sum that stops by m = 192
+    per-term quadrature target (tol/10). A sum that stops directly
     returns its terms, its last index as ``m_max`` and the geometric
     estimate of the dropped tail as ``tail_estimate``. A longer sum
-    ends its explicit terms at ``m_max`` = 190 and adds the
-    Euler-Maclaurin tail to ``total``, ``te_part`` and ``tm_part``;
-    ``tail_estimate`` is then the error estimate of that tail, within
-    tol * |total| / 10. The ``m_max`` argument caps the direct sum.
+    ends its explicit terms at the first rung M (32, 64 or 189) whose
+    Euler-Maclaurin tail meets tol, returns M as ``m_max`` and adds the
+    tail to ``total``, ``te_part`` and ``tm_part``; ``tail_estimate`` is
+    then the error estimate of that tail, within tol * |total| / 10. The
+    ``m_max`` argument caps the direct sum; a rung is used only when
+    M + 3 <= ``m_max``.
     """
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol must be in (0, 1e-4], got {tol}")

@@ -153,19 +153,32 @@ def inv_expm1(w, out=None):
         return np.divide(1.0, out, out=out)
 
 
-def euler_maclaurin_endpoint(h_near):
-    """Endpoint correction -h'(M)/12 + h'''(M)/720 of Euler-Maclaurin.
+def euler_maclaurin_endpoint(h_near, big_m):
+    """Endpoint correction and remainder bound of Euler-Maclaurin at M.
 
-    ``h_near`` holds h at M-2, M-1, M+1 and M+2 (unit spacing) along
-    its first axis; both derivatives come from 5-point central
-    stencils. With it, sum_{m>M} h(m) = Integral_M^inf h du - h(M)/2
-    + correction. Returns (correction, h'''(M)/720): the second is the
-    last term kept, whose size bounds the truncated rest of the series.
+    ``h_near`` holds h at M-3 .. M+3 (unit spacing) along its first
+    axis and ``big_m`` is M. With the correction,
+    sum_{m>M} h(m) = Integral_M^inf h du - h(M)/2 + correction + R.
+    The correction is -h'/12 + h'''/720 - h^(5)/30240 at M (Abramowitz
+    & Stegun 23.1.30; DLMF 2.10(i)), each derivative from its 7-point
+    central stencil. What R leaves is the rest of the series and the
+    stencils' error, together about |h^(7)(M)|/1450. The 5-point h' of
+    a shorter stencil alone would leave about |h^(5)(M)|/360.
+
+    Returns (correction, bound on |R|). The bound is
+    (|h^(5)(M)| + M |h^(6)(M)|)/30240, h^(6) from the 7-point sixth
+    difference. For terms falling like e^{-kappa m}, |h^(5)|/30240
+    exceeds the rest by about 1/(20 kappa^2). Near a zero of h^(5) the
+    rest is still there; then M |h^(6)(M)| bounds the variation of
+    h^(5) past M, as long as |h^(6)| falls at least like 1/u^2.
     """
-    hm2, hm1, hp1, hp2 = h_near
-    d1 = (hm2 - 8.0 * hm1 + 8.0 * hp1 - hp2) / 12.0
-    d3 = (-hm2 + 2.0 * hm1 - 2.0 * hp1 + hp2) / 2.0
-    return -d1 / 12.0 + d3 / 720.0, d3 / 720.0
+    hm3, hm2, hm1, h0, hp1, hp2, hp3 = h_near
+    d1 = (-hm3 + 9.0 * hm2 - 45.0 * hm1 + 45.0 * hp1 - 9.0 * hp2 + hp3) / 60.0
+    d3 = (hm3 - 8.0 * hm2 + 13.0 * hm1 - 13.0 * hp1 + 8.0 * hp2 - hp3) / 8.0
+    d5 = (-hm3 + 4.0 * hm2 - 5.0 * hm1 + 5.0 * hp1 - 4.0 * hp2 + hp3) / 2.0
+    d6 = hm3 - 6.0 * hm2 + 15.0 * hm1 - 20.0 * h0 + 15.0 * hp1 - 6.0 * hp2 + hp3
+    correction = -d1 / 12.0 + d3 / 720.0 - d5 / 30240.0
+    return correction, (np.abs(d5) + big_m * np.abs(d6)) / 30240.0
 
 
 def fsum(values) -> float:

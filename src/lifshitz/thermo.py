@@ -15,14 +15,16 @@ sqrt(u), which absorbs the half-power behaviour of h at the origin, on
 26 GK15 panels at M = 128); above M both tails are identical up to
 endpoint derivative corrections,
 
-    sum' h - int h = [sum''_0^M h - int_0^M h] - h'(M)/12 + h'''(M)/720 - ...,
+    sum' h - int h = [sum''_0^M h - int_0^M h] - h'(M)/12 + h'''(M)/720
+                     - h^(5)(M)/30240 + ...,
 
 with the double prime marking half weight at both ends. The difference
-comes with an error floor, the cancellation roundoff plus the panels'
-|Kronrod - Gauss|; a thermal shift smaller than 50 floors raises
-PrecisionError. The same machinery drives the low-frequency expansion
-form (g of the asymptotics module) and the exact-permittivity form
-(reduced Matsubara integrals of the core module).
+comes with an error floor: the cancellation roundoff, the panels'
+quadrature error and a bound on the Euler-Maclaurin remainder; a
+thermal shift smaller than 50 floors raises PrecisionError. The same
+machinery drives the low-frequency expansion form (g of the asymptotics
+module) and the exact-permittivity form (reduced Matsubara integrals of
+the core module).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from .asymptotics import AsymptoticCoefficients, AsymptoticContext, _g_many, pade_delta_f
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN, ZETA3, matsubara_frequency
 from .core import (IdealMetal, PlateSystem, ReflectionModel, TmOnlyIdealMetal,
-                   mode_integrals, pressure, zero_mode_integrals)
+                   _gk_integrate, mode_integrals, pressure, zero_mode_integrals)
 from .dispersion import DrudeModel
 from .errors import PrecisionError, RegimeError
 from .quadrature import euler_maclaurin_endpoint, fsum, gk_panels
@@ -60,18 +62,20 @@ def sum_minus_integral(h: Callable, m_star: int = 128):
     """sum'_{m>=0} h(m) - Integral_0^inf h(u) du for decaying smooth h.
 
     ``h`` must accept a 1-D float array of u >= 0 and evaluate
-    elementwise; it is called exactly once, on the integers 0 .. M + 2
-    (M = ``m_star``) and the GK15 nodes of ``_t_mesh`` (521 values at
-    M = 128). Returns (delta, floor). The floor adds the cancellation
-    roundoff estimate, eps times the summed magnitudes of the terms and
-    of the weighted integrand values, to the quadrature error, the
-    summed |Kronrod - Gauss| of the panels. It does not count the
-    Euler-Maclaurin remainder beyond the h'''(M)/720 term.
+    elementwise; it is called exactly once, on the integers 0 .. M + 3
+    (M = ``m_star``) and the GK15 nodes of ``_t_mesh`` (522 values at
+    M = 128). Returns (delta, floor). The floor adds three parts: the
+    cancellation roundoff estimate, eps times the summed magnitudes of
+    the terms and of the weighted integrand values; the panels'
+    quadrature error in the converged-panel model of the Matsubara rows
+    (``core._gk_integrate``), which leaves out |Kronrod - Gauss| at the
+    roundoff level already counted; and the bound on the
+    Euler-Maclaurin remainder from ``euler_maclaurin_endpoint``.
     """
     if m_star < 16:
         raise ValueError(f"m_star must be >= 16, got {m_star}")
     t_nodes, wk, wg = gk_panels(_t_mesh(m_star))
-    u_int = np.arange(0.0, m_star + 3.0)
+    u_int = np.arange(0.0, m_star + 4.0)
     values = np.asarray(h(np.concatenate([u_int, t_nodes * t_nodes])), dtype=float)
     hv = values[:u_int.size]
     hq = 2.0 * t_nodes * values[u_int.size:]  # h du = 2 t h dt
@@ -80,17 +84,13 @@ def sum_minus_integral(h: Callable, m_star: int = 128):
     sum_terms[0] *= 0.5
     sum_terms[m_star] *= 0.5
     integrand = wk * hq
-    delta = fsum(sum_terms) - fsum(integrand)
-
     # Euler-Maclaurin endpoint corrections at M
-    correction, _ = euler_maclaurin_endpoint(hv[[m_star - 2, m_star - 1,
-                                                m_star + 1, m_star + 2]])
-    delta += correction
+    correction, remainder = euler_maclaurin_endpoint(hv[m_star - 3:m_star + 4], m_star)
+    delta = fsum(sum_terms) - fsum(integrand) + correction
 
     noise = _EPS * (np.abs(sum_terms).sum() + np.abs(integrand).sum())
-    kronrod = integrand.reshape(-1, 15).sum(axis=1)
-    gauss = (wg * hq).reshape(-1, 15).sum(axis=1)
-    return delta, noise + np.abs(kronrod - gauss).sum()
+    _, quad_err = _gk_integrate(hq[None, :], wk.reshape(-1, 15), wg.reshape(-1, 15))
+    return delta, noise + quad_err[0] + remainder
 
 
 def delta_f_te_numeric(system: PlateSystem, tol: float = 1e-9,

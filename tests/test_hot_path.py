@@ -1,10 +1,11 @@
 """Pins of the Matsubara hot path: mode_integrals and the sum driver.
 
 Sums that stop by m = 192 are pinned to the values of the term-by-term
-direct sum, with their exact number of terms. Sums still running there
-switch to the Euler-Maclaurin tail (m_max = 190) and are pinned to
-converged references: a direct sum at tol = 1e-13, a brute-force fsum
-over mode_integrals rows, and the ideal-metal closed form.
+direct sum, with their exact number of terms. Longer sums switch to the
+Euler-Maclaurin tail at a rung M of core._EM_RUNGS (m_max = M) and are
+pinned to converged references: a direct sum at tol = 1e-13, a
+brute-force fsum over mode_integrals rows, and the ideal-metal closed
+form, at each rung.
 """
 
 import itertools
@@ -12,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lifshitz import core, quadrature, thermo
 from lifshitz.constants import C_LIGHT, K_BOLTZMANN, ZETA3, ev_to_rad_per_s, matsubara_frequency
@@ -23,16 +26,16 @@ from lifshitz.errors import ConvergenceError
 
 # (quantity, gap m, T K, m_max, value) at tol = 1e-6 with gold Drude.
 # The first stops by the direct rule and is pinned at rel 1e-12. The
-# rest take the tail (m_max 190) and are pinned at rel 1e-9. The 0.2 um,
-# 77 K reference is _brute_force (the tail agrees to 2e-16); the others
-# are the direct sum at tol = 1e-13, and the tail agrees with an fsum
-# over all rows to about 1e-15, so these references carry the larger error.
+# rest take the tail at the first rung (m_max 32) and are pinned at rel
+# 1e-9. The 0.2 um, 77 K reference is _brute_force; the others are the
+# direct sum at tol = 1e-13, and the tail agrees with an fsum over all
+# rows to about 1e-14, so these references carry the larger error.
 GOLDEN = [
     (pressure, 3e-6, 300.0, 6, -1.0330449337929284e-05),
-    (pressure, 0.2e-6, 77.0, 190, -0.49235285763641823),
-    (pressure, 1e-6, 1.0, 190, -0.0011417329100101175),
-    (free_energy, 1e-6, 1.0, 190, -3.914138512927074e-10),
-    (free_energy, 0.5e-6, 0.3, 190, -2.892047437297777e-09),
+    (pressure, 0.2e-6, 77.0, 32, -0.49235285763641823),
+    (pressure, 1e-6, 1.0, 32, -0.0011417329100101175),
+    (free_energy, 1e-6, 1.0, 32, -3.914138512927074e-10),
+    (free_energy, 0.5e-6, 0.3, 32, -2.892047437297777e-09),
 ]
 
 
@@ -44,14 +47,18 @@ def _value(res):
 def test_golden_sums(quantity, gap, temp, m_max, value):
     res = quantity(PlateSystem(gap, temp, GOLD), tol=1e-6)
     assert res.m_max == m_max
-    rel = 1e-9 if m_max == 190 else 1e-12
+    rel = 1e-9 if m_max in core._EM_RUNGS else 1e-12
     assert _value(res) == pytest.approx(value, rel=rel)
 
 
 def _brute_force(model, gap, temp, kind):
-    """fsum of the half zero mode and rows 1..N, with e^{-y0} < 1e-15 at N."""
+    """fsum of the half zero mode and rows 1..N, with y0 = 60 at N.
+
+    Past N the rows are below y0^2 e^{-y0} < 1e-22 of the first ones, so
+    the reference holds to roundoff also at tol = 1e-12.
+    """
     zeta1 = matsubara_frequency(1, temp)
-    n = int(36.0 / (2.0 * gap * zeta1 / C_LIGHT))
+    n = int(60.0 / (2.0 * gap * zeta1 / C_LIGHT))
     s_tm, s_te, _, _ = mode_integrals(model, gap, zeta1 * np.arange(1.0, n + 1.0), kind)
     s0_tm, s0_te, _ = zero_mode_integrals(model, gap, kind)
     return math.fsum([0.5 * s0_tm, 0.5 * s0_te, *s_tm, *s_te])
@@ -65,27 +72,98 @@ def test_tail_matches_brute_force_sum(model, quantity, kind, power, sign):
     res = quantity(PlateSystem(gap, temp, model), tol=1e-6)
     pref = sign * K_BOLTZMANN * temp / (8.0 * math.pi * gap ** power)
     exact = pref * _brute_force(model, gap, temp, kind)
-    assert res.m_max == 190
+    assert res.m_max in core._EM_RUNGS
     if quantity is free_energy:
         assert len(res.terms) == res.m_max + 1
     assert _value(res) == pytest.approx(exact, rel=1e-9)
     assert res.te_part + res.tm_part == pytest.approx(_value(res), rel=1e-15)
 
 
-@pytest.mark.parametrize("gap, temp", [(0.2e-6, 30.0), (1e-6, 1.0), (0.2e-6, 0.1)])
-def test_tail_matches_ideal_metal_closed_form(gap, temp):
+# (quantity, gap m, T K, tol, rung) with gold: the first rung whose
+# remainder and tail quadrature meet tol
+_RUNG_CASES = [(free_energy, 1e-6, 1.0, 1e-6, 32), (pressure, 1e-6, 1.0, 1e-9, 32),
+               (free_energy, 1e-6, 10.0, 1e-12, 64), (pressure, 2e-6, 10.0, 1e-12, 64),
+               (free_energy, 1e-6, 20.0, 1e-12, 189), (pressure, 1e-6, 30.0, 1e-12, 189)]
+# the estimates bound the tail and the quadrature, not the roundoff of
+# summing the terms, which the references share to a few ulps
+_ROUNDOFF = 1e-15
+
+
+@pytest.mark.parametrize("quantity, gap, temp, tol, rung", _RUNG_CASES)
+def test_every_rung_matches_the_brute_force_sum(quantity, gap, temp, tol, rung):
+    kind, power, sign = ("energy", 2, 1.0) if quantity is free_energy else ("pressure", 3, -1.0)
+    res = quantity(PlateSystem(gap, temp, GOLD), tol=tol)
+    assert res.m_max == rung
+    pref = sign * K_BOLTZMANN * temp / (8.0 * math.pi * gap ** power)
+    exact = pref * _brute_force(GOLD, gap, temp, kind)
+    assert _value(res) == pytest.approx(exact, rel=1e-9)
+    assert abs(_value(res) - exact) <= abs(res.tail_estimate) + _ROUNDOFF * abs(exact)
+    assert abs(res.tail_estimate) <= tol * abs(_value(res)) / 10.0
+
+
+def _ideal_metal_free_energy(gap, temp):
     # sum'_m S(kappa m), S(y0) = -2 sum_n e^{-n y0} (y0/n^2 + 1/n^3), summed
     # over m in closed form: -zeta(3) plus a series decaying like e^{-n kappa}
     kappa = 2.0 * gap * matsubara_frequency(1, temp) / C_LIGHT
     n = np.arange(1.0, 100.0 / kappa)
     x, one_minus_x = np.exp(-n * kappa), -np.expm1(-n * kappa)
     rest = -2.0 * (kappa * x / one_minus_x ** 2 / n ** 2 + x / one_minus_x / n ** 3)
-    exact = K_BOLTZMANN * temp / (8.0 * math.pi * gap ** 2) * (math.fsum(rest) - ZETA3)
+    return K_BOLTZMANN * temp / (8.0 * math.pi * gap ** 2) * (math.fsum(rest) - ZETA3)
+
+
+@pytest.mark.parametrize("gap, temp", [(0.2e-6, 30.0), (1e-6, 1.0), (0.2e-6, 0.1)])
+def test_tail_matches_ideal_metal_closed_form(gap, temp):
+    exact = _ideal_metal_free_energy(gap, temp)
     res = free_energy(PlateSystem(gap, temp, IdealMetal()), tol=1e-6)
-    assert res.m_max == 190
+    assert res.m_max in core._EM_RUNGS
     assert res.total == pytest.approx(exact, rel=1e-13)
     assert abs(res.total - exact) <= abs(res.tail_estimate)
     assert res.tail_estimate < 0.0  # the sign of the terms
+
+
+@pytest.mark.parametrize("gap, temp, tol, rung", [
+    (1e-6, 1.0, 1e-6, 32), (1e-6, 10.0, 1e-12, 64), (1e-6, 20.0, 1e-12, 189)])
+def test_every_rung_matches_the_ideal_metal_closed_form(gap, temp, tol, rung):
+    exact = _ideal_metal_free_energy(gap, temp)
+    res = free_energy(PlateSystem(gap, temp, IdealMetal()), tol=tol)
+    assert res.m_max == rung
+    assert res.total == pytest.approx(exact, rel=1e-13)
+    assert abs(res.total - exact) <= abs(res.tail_estimate) + _ROUNDOFF * abs(exact)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gap=st.floats(0.2e-6, 4e-6), temp=st.floats(0.1, 30.0),
+       tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
+# kappa M near 3.7 and 4.6 at M = 32: h^(5)(M) near a zero, and the
+# h' stencil error about as large as |h^(5)|/30240
+@example(gap=1.99e-6, temp=10.5, tol=1e-12)
+@example(gap=2.2588937487059146e-06, temp=11.66694893765972, tol=1e-9)
+def test_ideal_metal_error_is_bounded_by_the_estimate(gap, temp, tol):
+    # direct stops and every rung: the reported estimate bounds the
+    # distance from the closed form
+    res = free_energy(PlateSystem(gap, temp, IdealMetal()), tol=tol)
+    exact = _ideal_metal_free_energy(gap, temp)
+    assert abs(res.total - exact) <= abs(res.tail_estimate) + _ROUNDOFF * abs(exact)
+
+
+def test_tight_tol_stays_on_the_tail():
+    # the remainder bound meets tol = 1e-12 by M = 64 at 1 um, 1 K
+    res = free_energy(PlateSystem(1e-6, 1.0, GOLD), tol=1e-12)
+    assert res.m_max <= 64
+    assert abs(res.tail_estimate) <= 1e-13 * abs(res.total)
+
+
+def test_every_rung_failing_falls_back_to_the_direct_sum(monkeypatch):
+    # an infinite remainder fails every rung before any tail row is evaluated
+    system = PlateSystem(1e-6, 1.0, GOLD)
+    on_tail = free_energy(system, tol=1e-9)
+    panels = []
+    monkeypatch.setattr(core, "euler_maclaurin_endpoint", lambda h, big_m: (0.0, math.inf))
+    monkeypatch.setattr(core, "_tail_panels", lambda *args: panels.append(args))
+    direct = free_energy(system, tol=1e-9)
+    assert panels == []
+    assert direct.m_max > core._EM_SWITCH
+    assert direct.total == pytest.approx(on_tail.total, rel=1e-9)
 
 
 def test_tail_bisects_then_gives_way_to_the_direct_sum(monkeypatch):
@@ -99,24 +177,26 @@ def test_tail_bisects_then_gives_way_to_the_direct_sum(monkeypatch):
     monkeypatch.setattr(core, "_tail_panels", counting)
     stress = PlateSystem(0.2e-6, 0.1, GOLD)
     loose = pressure(stress, tol=1e-6)
-    assert panels == [11]
+    assert panels == [12]
     tight = pressure(stress, tol=1e-11)
-    assert panels[1:] == [11, 8]  # the 4 worst panels bisected once
-    assert tight.m_max == 190
+    assert panels[1:] == [12, 8]  # the 4 worst panels bisected once
+    assert tight.m_max == 32
     assert abs(tight.tail_estimate) <= 1e-12 * abs(tight.pressure)
     assert tight.pressure == pytest.approx(loose.pressure, rel=1e-11)
-    # at tol = 1e-12 and 1 um, 1 K the |h'''(M)|/720 term alone exceeds
-    # tol/10, so the tail is given up and the direct sum goes on
-    system = PlateSystem(1e-6, 1.0, GOLD)
-    direct = free_energy(system, tol=1e-12)
-    assert direct.m_max > 192
-    assert direct.total == pytest.approx(free_energy(system, tol=1e-6).total, rel=1e-10)
+    # at tol = 1e-13, 4 um and 0.3 K the remainder misses at M = 32 (no
+    # tail row), the quadrature at 64 and at 189, so the direct sum goes on
+    panels.clear()
+    system = PlateSystem(4e-6, 0.3, GOLD)
+    direct = pressure(system, tol=1e-13)
+    assert panels == [8, 6]
+    assert direct.m_max > core._EM_SWITCH
+    assert direct.pressure == pytest.approx(pressure(system, tol=1e-6).pressure, rel=1e-10)
 
 
 def test_non_finite_tail_row_stops_the_sum(monkeypatch):
     system = PlateSystem(1e-6, 1.0, GOLD)
-    with pytest.raises(ConvergenceError) as head:
-        free_energy(system, tol=1e-6, m_max=190)
+    with pytest.raises(ConvergenceError) as head:  # rows 0..32, short of the first stencil
+        free_energy(system, tol=1e-6, m_max=32)
     real_modes = core.mode_integrals
     zeta1 = matsubara_frequency(1, 1.0)
 
@@ -134,29 +214,31 @@ def test_non_finite_tail_row_stops_the_sum(monkeypatch):
 
 
 def test_shifts_are_unchanged():
-    # pinned on the 26-panel GK15 t mesh of sum_minus_integral
+    # pinned on the 26-panel GK15 t mesh of sum_minus_integral with the
+    # 7-point endpoint correction through h^(5) (the 5-point one through
+    # h^(3) gave 9.954686439292977e-14 and 1.1371653564140272e-07)
     system = PlateSystem(1e-6, 1.0, GOLD)
-    assert thermo.free_energy_shift(system) == 9.954686439292977e-14
-    assert thermo.pressure_shift(system) == 1.1371653564140272e-07
+    assert thermo.free_energy_shift(system) == 9.954686439310923e-14
+    assert thermo.pressure_shift(system) == 1.1371653564162462e-07
 
 
 @pytest.mark.parametrize("scale", [1.0, 10.0, 30.0])
 def test_euler_maclaurin_endpoint(scale):
     # h(u) = u e^{-u/s}: sum_{m>M} m x^m = x^{M+1} ((M+1) - M x) / (1-x)^2
     # with x = e^{-1/s}, and Integral_M^inf h = e^{-M/s} (M s + s^2)
-    big_m = 190
+    big_m = 189
     x = math.exp(-1.0 / scale)
     exact = x ** (big_m + 1) * ((big_m + 1) - big_m * x) / (1.0 - x) ** 2
     integral = math.exp(-big_m / scale) * (big_m * scale + scale ** 2)
-    u = np.array([big_m - 2, big_m - 1, big_m + 1, big_m + 2], dtype=float)
-    correction, last = quadrature.euler_maclaurin_endpoint(u * np.exp(-u / scale))
+    u = np.arange(big_m - 3.0, big_m + 4.0)
+    correction, remainder = quadrature.euler_maclaurin_endpoint(u * np.exp(-u / scale), big_m)
     plain = integral - 0.5 * big_m * math.exp(-big_m / scale)
     corrected = plain + correction
     if scale == 1.0:  # decay on the stencil's own scale: a gain, not a bound
         assert abs(corrected - exact) < abs(plain - exact) / 20.0
     else:
-        assert abs(corrected - exact) <= abs(last)
-        assert abs(corrected - exact) < 1e-8 * exact
+        assert abs(corrected - exact) <= remainder
+        assert abs(corrected - exact) < 1e-10 * exact
 
 
 def test_kernels_match_the_two_branch_forms():
@@ -230,18 +312,19 @@ def test_lean_rows_match_a_dense_mesh(model, estimate_bound, kind):
 
 # (gap, T): m_max of (free_energy, pressure) with gold at tol 1e-6, 1e-9, 1e-12
 _REFINE_CASES = {
-    (0.2e-6, 77.0): [(182, 190), (190, 190), (190, 190)],
+    (0.2e-6, 77.0): [(32, 32), (32, 32), (189, 189)],
     (0.2e-6, 300.0): [(47, 52), (66, 72), (85, 92)],
     (1e-6, 77.0): [(42, 47), (58, 63), (74, 80)],
     (1e-6, 300.0): [(12, 13), (16, 17), (20, 21)],
     (3e-6, 77.0): [(15, 17), (21, 22), (26, 28)],
     (3e-6, 300.0): [(6, 6), (6, 6), (7, 8)],
-    (1e-6, 1.0): [(190, 190), (190, 190), (5718, 6170)],
-    (0.2e-6, 0.1): [(190, 190), (190, 190), (190, 190)],
+    (1e-6, 1.0): [(32, 32), (32, 32), (64, 64)],
+    (0.2e-6, 0.1): [(32, 32), (32, 32), (64, 32)],
 }
 # (gap, T, tol, quantity): where the plasma model's m_max differs from gold's
 _PLASMA_M_MAX = {(1e-6, 77.0, 1e-6, "pressure"): 46, (1e-6, 300.0, 1e-6, "free_energy"): 11,
-                 (1e-6, 1.0, 1e-12, "free_energy"): 5716, (1e-6, 1.0, 1e-12, "pressure"): 6168}
+                 (1e-6, 1.0, 1e-12, "free_energy"): 32, (1e-6, 1.0, 1e-12, "pressure"): 32,
+                 (0.2e-6, 0.1, 1e-12, "free_energy"): 32}
 
 
 @pytest.mark.parametrize("model", [GOLD, PlasmaModel(GOLD.omega_p)], ids=["drude", "plasma"])
@@ -296,9 +379,9 @@ _GRID = [(quantity, gap, temp, tol)
          for tol in (1e-6, 1e-9)]
 
 
-def _fixed_blocks(kappa, tol):
-    """Reference schedule, blind to the decay: 64 rows, to m = 192, then doubling."""
-    yield from (64, 192, 448, 960)
+def _fixed_blocks(predicted):
+    """Reference schedule, blind to the decay: to each rung's M + 3, then doubling."""
+    yield from (35, 67, 192, 448, 960)
     yield from itertools.count(1984, 1024)
 
 
@@ -307,18 +390,25 @@ def _fields(res):
 
 
 def test_block_ends_keep_the_tail_stencil_in_one_block():
-    predicted_seconds = set()
-    for kappa in np.geomspace(1e-4, 1e4, 8000):  # 1e4: a 3 mm gap at 600 K
+    predicted_seconds, long_sums = set(), 0
+    for kappa in np.geomspace(1e-6, 1e4, 10000):  # 1e4: a 3 mm gap at 600 K
         for tol in (1e-4, 1e-6, 1e-9, 1e-13):
-            ends = list(itertools.islice(core._block_ends(float(kappa), tol), 7))
-            assert 8 <= ends[0] <= 64
+            predicted = core._predicted_stop(float(kappa), tol)
+            ends = list(itertools.islice(core._block_ends(predicted), 7))
             assert all(lo < hi for lo, hi in zip(ends, ends[1:]))
             i = ends.index(core._EM_SWITCH)
-            assert i in (1, 2) and ends[i - 1] <= core._EM_M - 3  # rows 188..192 together
-            assert ends[i:] == list(itertools.islice(_fixed_blocks(0.0, tol), 1, 8 - i))
+            assert ends[i:] == list(itertools.islice(_fixed_blocks(predicted), 2, 9 - i))
+            if predicted > core._EM_SWITCH:  # every rung's rows M - 3 .. M + 3 in one block
+                long_sums += 1
+                assert ends[:i + 1] == [rung + 3 for rung in core._EM_RUNGS]
+                assert all(lo <= rung - 4 for lo, rung in zip([0] + ends, core._EM_RUNGS))
+                continue
+            assert 8 <= ends[0] <= 64
+            assert i in (1, 2) and ends[i - 1] <= core._EM_RUNGS[-1] - 4  # rows 186..192
             if i == 2:
                 predicted_seconds.add(ends[1])
-    assert max(predicted_seconds) == core._EM_M - 3  # the grid reaches the limit
+    assert long_sums > 0
+    assert max(predicted_seconds) == core._EM_RUNGS[-1] - 4  # the grid reaches the limit
 
 
 @pytest.mark.parametrize("model", _MODELS, ids=["drude", "plasma", "table"])
@@ -369,20 +459,22 @@ def test_slowly_decaying_sum_meets_tol(quantity, kind, power, sign, gap):
     pref = sign * K_BOLTZMANN * temp / (8.0 * math.pi * gap ** power)
     exact = pref * _brute_force(GOLD, gap, temp, kind)
     assert abs(_value(res) - exact) <= tol * abs(exact)
-    if res.m_max < core._EM_M:  # the direct rule stopped it: the tail bounds the error
+    if res.m_max not in core._EM_RUNGS:  # the direct rule stopped it: the tail bounds the error
         assert abs(_value(res) - exact) <= 1.01 * abs(res.tail_estimate)
 
 
 def test_convergence_error_reports_the_geometric_tail():
-    system = PlateSystem(1e-6, 1.0, GOLD)
+    # m_max = 28 stops the sum short of the first rung's stencil (rows 29..35)
+    system = PlateSystem(0.5e-6, 10.0, GOLD)
     converged = free_energy(system, tol=1e-9).total
     with pytest.raises(ConvergenceError) as err:
-        free_energy(system, tol=1e-6, m_max=39)
+        free_energy(system, tol=1e-6, m_max=28)
     missing = abs(converged - err.value.best_estimate)
     assert missing <= err.value.error_estimate <= 5.0 * missing
-    # the pressure terms still grow at m = 39: there is no geometric tail
+    # at 1 um, 1 K the pressure terms still grow at m = 28: there is no
+    # geometric tail
     with pytest.raises(ConvergenceError) as err:
-        pressure(system, tol=1e-6, m_max=39)
+        pressure(PlateSystem(1e-6, 1.0, GOLD), tol=1e-6, m_max=28)
     assert err.value.error_estimate == math.inf
 
 
@@ -402,7 +494,7 @@ def test_flagged_row_is_refined_alone(monkeypatch):
 
     def inflating_gk(values, *mesh):
         val, err = real_gk(values, *mesh)
-        if values.shape[0] == 63:  # the first block's dense rows m = 1..63: TM, then TE
+        if values.shape[0] == 35:  # the first block's dense rows m = 1..35: TM, then TE
             state["blocks"] += 1
             if state["blocks"] == 1:
                 err = err.copy()
@@ -423,22 +515,22 @@ def test_flagged_row_is_refined_alone(monkeypatch):
 
 def test_non_finite_term_stops_the_sum(monkeypatch):
     system = PlateSystem(1e-6, 1.0, GOLD)
-    with pytest.raises(ConvergenceError) as partial:
-        free_energy(system, tol=1e-6, m_max=39)
+    with pytest.raises(ConvergenceError) as partial:  # short of the first stencil
+        free_energy(system, tol=1e-6, m_max=19)
     real_modes = core.mode_integrals
-    zeta40 = matsubara_frequency(40, 1.0)
+    zeta20 = matsubara_frequency(20, 1.0)
     rows = []
 
     def poisoned(model, gap, zetas, kind="energy"):
         s_tm, s_te, e_tm, e_te = real_modes(model, gap, zetas, kind)
         rows.append(len(zetas))
-        s_tm[np.isclose(zetas, zeta40, rtol=1e-12)] = math.nan
+        s_tm[np.isclose(zetas, zeta20, rtol=1e-12)] = math.nan
         return s_tm, s_te, e_tm, e_te
 
     monkeypatch.setattr(core, "mode_integrals", poisoned)
-    with pytest.raises(ConvergenceError, match="m = 40 is not finite") as err:
+    with pytest.raises(ConvergenceError, match="m = 20 is not finite") as err:
         free_energy(system, tol=1e-6)
-    assert rows == [64]
+    assert rows == [35]
     assert err.value.best_estimate == partial.value.best_estimate
     assert math.isfinite(err.value.best_estimate)
 

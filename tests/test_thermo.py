@@ -4,12 +4,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lifshitz import thermo
 from lifshitz.asymptotics import coefficients, pade_delta_f
-from lifshitz.constants import (C_LIGHT, HBAR, K_BOLTZMANN, ZETA3)
+from lifshitz.constants import C_LIGHT, HBAR, K_BOLTZMANN, ZETA3, matsubara_frequency
 from lifshitz.core import (IdealMetal, PlateSystem, TmOnlyIdealMetal,
                            free_energy, pressure)
 from lifshitz.dispersion import GOLD, PlasmaModel
@@ -64,7 +64,20 @@ class TestSumMinusIntegral:
         delta, floor = sum_minus_integral(lambda u: np.exp(-u) * np.cos(5.0 * u))
         assert 1e-13 < abs(delta - exact) <= floor
 
-    def test_h_is_evaluated_once_on_521_points(self):
+    def test_floor_counts_only_real_quadrature_error(self):
+        # plasma pressure shift at 0.2 um, 0.05 K: converged panels leave
+        # |Kronrod - Gauss| at the roundoff level, which the floor already
+        # counts once, so the shift stands at 94 floors (42 when counted twice)
+        call = lambda: pressure_shift(PlateSystem(0.2e-6, 0.05, PlasmaModel(GOLD.omega_p)))
+        value = call()
+        delta, floor = _brackets(call, dense=False)
+        dense, _ = _brackets(call, dense=True)
+        assert abs(delta) >= 50.0 * floor
+        assert value == pytest.approx(-K_BOLTZMANN * 0.05 / (8.0 * math.pi * 0.2e-6 ** 3) * delta,
+                                      rel=1e-15)
+        assert abs(delta - dense) <= 5.0 * floor
+
+    def test_h_is_evaluated_once_on_522_points(self):
         sizes = []
 
         def h(u):
@@ -72,7 +85,7 @@ class TestSumMinusIntegral:
             return np.exp(-u)
 
         sum_minus_integral(h)
-        assert sizes == [521]
+        assert sizes == [522]
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,21 +107,35 @@ def test_floor_bounds_the_error_against_closed_forms(s, half_power):
     assert abs(delta - exact) <= floor
 
 
+@settings(max_examples=30, deadline=None)
+@given(s=st.floats(1e-3, 5e-3))
+@example(s=1e-3)
+def test_floor_bounds_the_error_on_a_gaussian(s):
+    """h = e^{-s u^2} still carries weight at M = 128 (e^{-16.4} at s = 1e-3);
+    Poisson summation gives sum' h - Integral h = sqrt(pi/s) sum_{k>=1}
+    e^{-pi^2 k^2 / s}, which is 0 in double precision here. The endpoint
+    correction through h''' on 5-point stencils misses it by up to 12
+    floors."""
+    exact = math.sqrt(math.pi / s) * math.fsum(math.exp(-(math.pi * k) ** 2 / s)
+                                               for k in range(1, 4))
+    delta, floor = sum_minus_integral(lambda u: np.exp(-s * u * u))
+    assert abs(delta - exact) <= floor
+
+
 def _dense_sum_minus_integral(h, m_star=128):
     """Dense reference engine: 51 Gauss-Legendre panels of 20 nodes in t."""
     top = math.sqrt(m_star)
     breaks = np.concatenate([[0.0], np.geomspace(1e-3, 0.4, 19),
                              np.arange(0.75, top, 0.35), [top]])
     t, w = gl_panels(breaks, n=20)
-    u_int = np.arange(0.0, m_star + 3.0)
+    u_int = np.arange(0.0, m_star + 4.0)
     values = h(np.concatenate([u_int, t * t]))
     hv = values[:u_int.size]
     terms = hv[:m_star + 1].copy()
     terms[0] *= 0.5
     terms[m_star] *= 0.5
     integrand = w * 2.0 * t * values[u_int.size:]
-    correction, _ = euler_maclaurin_endpoint(hv[[m_star - 2, m_star - 1,
-                                                m_star + 1, m_star + 2]])
+    correction, _ = euler_maclaurin_endpoint(hv[m_star - 3:m_star + 4], m_star)
     return math.fsum(terms) - math.fsum(integrand) + correction, 0.0
 
 
@@ -256,6 +283,22 @@ class TestFreeEnergyShift:
             free_energy_shift(PlateSystem(1e-6, 10.0, GOLD), polarization="tem")
 
 
+def _ideal_metal_tm_pressure_shift(gap, temp):
+    """Closed form of the ideal-metal TM pressure shift, with 50 digits."""
+    with mpmath.workdps(50):
+        kappa = mpmath.mpf(2.0 * gap * matsubara_frequency(1, temp) / C_LIGHT)
+
+        def rest(n):  # the n-th sum over m, less its half-weight m = 0 term 1/n^3
+            x = mpmath.exp(-n * kappa)
+            return (kappa ** 2 / n * x * (1 + x) / (1 - x) ** 3
+                    + 2 * kappa / n ** 2 * x / (1 - x) ** 2 + 2 / n ** 3 * x / (1 - x))
+
+        # past n = 120 / kappa the rest is below e^-120
+        delta = (mpmath.fsum(rest(n) for n in range(1, int(120 / kappa)))
+                 + mpmath.zeta(3) - mpmath.pi ** 4 / (15 * kappa))
+        return float(-K_BOLTZMANN * temp / (8 * mpmath.pi * gap ** 3) * delta)
+
+
 class TestPressureShift:
     def test_difference_cross_check(self):
         t1, t2 = 20.0, 50.0
@@ -264,6 +307,18 @@ class TestPressureShift:
         p1 = pressure(PlateSystem(1e-6, t1, GOLD), tol=1e-10).pressure
         p2 = pressure(PlateSystem(1e-6, t2, GOLD), tol=1e-10).pressure
         assert s2 - s1 == pytest.approx(p2 - p1, rel=1e-5)
+
+    def test_ideal_metal_tm_matches_closed_form(self):
+        """The criterion-9 shifts against sum' S(kappa m) - Integral S(kappa u) du
+        summed in closed form, S(y0) = sum_n e^{-n y0} (y0^2/n + 2 y0/n^2 + 2/n^3):
+        within the error floor (the 5-point correction was 250 floors off)."""
+        for t in np.geomspace(5.0, 50.0, 7):
+            def call():
+                return pressure_shift(PlateSystem(1e-6, t, IdealMetal()), polarization="tm")
+            value = call()
+            delta, floor = _brackets(call, dense=False)
+            exact = _ideal_metal_tm_pressure_shift(1e-6, t)
+            assert abs(value - exact) <= abs(value) * floor / abs(delta), t
 
     def test_ideal_metal_tm_quartic(self):
         """For full reflection the TM pressure correction grows as T^4;
