@@ -5,21 +5,20 @@ from .constants import (CONSTANTS, C_LIGHT, HBAR, K_BOLTZMANN,
 from .core import (CoefficientSurface, FreeEnergyResult, IdealMetal,
                    MatsubaraTerm, PlateSystem, PressureResult, ReflectionPair,
                    TmOnlyIdealMetal, coefficient_surface, free_energy,
-                   matsubara_term, pressure, reflection_coefficients,
-                   zero_mode_coefficients)
+                   pressure, reflection_coefficients, zero_mode_coefficients)
 from .dispersion import (GOLD, GOLD_NU_EV, GOLD_OMEGA_P_EV,
                          ConstantPermittivity, DrudeModel, PlasmaModel,
                          TabulatedPermittivity, load_permittivity_table)
 from .asymptotics import (AsymptoticCoefficients, AsymptoticContext,
-                          coefficients, delta_f_te_leading, g_of_m,
-                          g_slope_at_zero, pade_delta_f, te_slope_integral)
+                          coefficients, delta_f_te_leading, g_slope_at_zero,
+                          pade_delta_f, te_slope_integral)
 from .errors import (ConvergenceError, LifshitzError, PrecisionError,
                      RegimeError, TableFormatError)
 from .thermo import (LowTempFit, RSeries, classical_limit_check,
                      classical_pressure, collect_lowtemp_samples,
                      default_fit_grid, delta_f_te_numeric, entropy,
                      fit_low_temp, free_energy_shift, pressure_shift,
-                     r_series, sum_minus_integral)
+                     r_series)
 from .zero_temp import ZeroTempResult, free_energy_T0, ideal_metal_T0
 
 __all__ = [
@@ -27,7 +26,7 @@ __all__ = [
     "ev_to_rad_per_s", "matsubara_frequency",
     "CoefficientSurface", "FreeEnergyResult", "IdealMetal", "MatsubaraTerm",
     "PlateSystem", "PressureResult", "ReflectionPair", "TmOnlyIdealMetal",
-    "coefficient_surface", "free_energy", "matsubara_term", "pressure",
+    "coefficient_surface", "free_energy", "pressure",
     "reflection_coefficients", "zero_mode_coefficients",
     "GOLD", "GOLD_NU_EV", "GOLD_OMEGA_P_EV", "ConstantPermittivity",
     "DrudeModel", "PlasmaModel", "TabulatedPermittivity",
@@ -35,12 +34,12 @@ __all__ = [
     "ConvergenceError", "LifshitzError", "PrecisionError", "RegimeError",
     "TableFormatError",
     "AsymptoticCoefficients", "AsymptoticContext", "coefficients",
-    "delta_f_te_leading", "g_of_m", "g_slope_at_zero",
+    "delta_f_te_leading", "g_slope_at_zero",
     "pade_delta_f", "te_slope_integral",
     "LowTempFit", "RSeries", "classical_limit_check", "classical_pressure",
     "collect_lowtemp_samples", "default_fit_grid", "delta_f_te_numeric",
     "entropy", "fit_low_temp", "free_energy_shift", "pressure_shift",
-    "r_series", "sum_minus_integral",
+    "r_series",
     "ZeroTempResult", "free_energy_T0", "ideal_metal_T0",
 ]
 

@@ -53,6 +53,11 @@ predicted to stop directly but still running at m = 192 tries the top
 rung. If the error estimate of the tail misses tol at every rung it
 tries (in practice only for tol below about 1e-12), the direct sum goes
 on instead.
+
+The tail's panels and bisection loop (``_tail_panels``,
+``_bisect_panels``) also give the T = 0 free energy in ``zero_temp``:
+the same integral over the continuous index, from u = 0 with
+zeta_1 = c / 2a.
 """
 
 from __future__ import annotations
@@ -479,14 +484,14 @@ def _first(mask) -> int:
 # top rung puts its stencil on the block that ends at _EM_SWITCH, so a
 # sum predicted to stop directly but still running there takes the
 # same tail. The integral runs in
-# v = ln(1 + y0), y0 = kappa u (as in zero_temp), on GK15 panels over
-# fixed breaks clipped to start at v(M). It ends at y0 = 60: past that
-# the terms are below e^-60 of the first ones.
+# v = ln(1 + y0), y0 = kappa u, on GK15 panels over fixed breaks clipped
+# to start at v(M); zero_temp takes it from v = 0. It ends at y0 = 60:
+# past that the terms are below e^-60 of the first ones.
 _EM_RUNGS = (32, 64, 189)
 _EM_SWITCH = _EM_RUNGS[-1] + 3
 _TAIL_BREAKS = np.array([1e-4, 1e-3, 0.01, 0.05, 0.15, 0.3, 0.5, 0.8,
                          1.2, 1.7, 2.3, 3.0, 3.5, math.log(61.0)])
-_TAIL_PANEL_CAP = 32  # panels the tail may bisect up to before it gives up
+_TAIL_PANEL_CAP = 32  # panels _bisect_panels may reach before it gives up
 
 
 def _tail_panels(model, gap, zeta1, kind, lo, hi):
@@ -509,6 +514,43 @@ def _tail_panels(model, gap, zeta1, kind, lo, hi):
     return tm, te, gk_err, row_err
 
 
+def _bisect_panels(evaluate, lo, hi, target, fixed_extra=0.0):
+    """Integrate over the v panels [lo, hi], bisecting until ``target`` is met.
+
+    ``evaluate(lo, hi)`` returns per-panel (tm, te, gk_err, row_err) as
+    ``_tail_panels`` does, and ``target(tm, te)`` the error allowed for
+    the panel sums tm, te. The error estimate is a fixed part, the rows'
+    errors plus ``fixed_extra``, and |Kronrod - Gauss|. Each round
+    bisects the 4 panels with the largest |Kronrod - Gauss|. It gives up
+    when the fixed part alone misses the target, or at _TAIL_PANEL_CAP
+    panels. Returns (tm, te, error, met, panels evaluated); raises
+    ConvergenceError if a panel is not finite.
+    """
+    tm, te, gk_err, row_err = evaluate(lo, hi)
+    evaluated = lo.size
+    while True:
+        if not np.all(np.isfinite(tm + te)):
+            raise ConvergenceError("panel integral is not finite",
+                                   best_estimate=math.nan, error_estimate=math.inf)
+        tm_sum, te_sum = fsum(tm), fsum(te)
+        allowed = target(tm_sum, te_sum)
+        fixed = float(row_err.sum()) + fixed_extra
+        error = fixed + float(gk_err.sum())
+        if error <= allowed or fixed > allowed or lo.size >= _TAIL_PANEL_CAP:
+            return tm_sum, te_sum, error, error <= allowed, evaluated
+        k = min(4, lo.size)  # bisect the k worst panels
+        worst = np.argpartition(gk_err, -k)[-k:]
+        mid = 0.5 * (lo[worst] + hi[worst])
+        new_lo, new_hi = np.concatenate([lo[worst], mid]), np.concatenate([mid, hi[worst]])
+        new = evaluate(new_lo, new_hi)
+        evaluated += new_lo.size
+        keep = np.ones(lo.size, dtype=bool)
+        keep[worst] = False
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        tm, te, gk_err, row_err = (np.concatenate([old[keep], part])
+                                   for old, part in zip((tm, te, gk_err, row_err), new))
+
+
 def _em_tail(model, gap, zeta1, kind, tol, big_m, h_tm, h_te, head, kept):
     """Euler-Maclaurin tail sum_{m > big_m} in reduced units.
 
@@ -527,32 +569,18 @@ def _em_tail(model, gap, zeta1, kind, tol, big_m, h_tm, h_te, head, kept):
         return None
     v_m = math.log1p(2.0 * gap * zeta1 * big_m / C_LIGHT)
     breaks = np.concatenate(([v_m], _TAIL_BREAKS[_TAIL_BREAKS > v_m]))
-    lo, hi = breaks[:-1], breaks[1:]
-    if lo.size == 0:
+    if breaks.size < 2:
         return None
     ends_tm, ends_te = c_tm - 0.5 * h_tm[3], c_te - 0.5 * h_te[3]
-    tm, te, gk_err, row_err = _tail_panels(model, gap, zeta1, kind, lo, hi)
-    while True:
-        if not np.all(np.isfinite(tm + te)):
-            _raise_non_finite(kept, "Euler-Maclaurin tail")
-        tail_tm, tail_te = fsum(tm) + ends_tm, fsum(te) + ends_te
-        target = tol * abs(head + tail_tm + tail_te) / 10.0
-        fixed = float(row_err.sum()) + remainder
-        error = fixed + float(gk_err.sum())
-        if error <= target:
-            return tail_tm, tail_te, error
-        if fixed > target or lo.size >= _TAIL_PANEL_CAP:
-            return None
-        k = min(4, lo.size)  # bisect the k worst panels
-        worst = np.argpartition(gk_err, -k)[-k:]
-        mid = 0.5 * (lo[worst] + hi[worst])
-        new_lo, new_hi = np.concatenate([lo[worst], mid]), np.concatenate([mid, hi[worst]])
-        new = _tail_panels(model, gap, zeta1, kind, new_lo, new_hi)
-        keep = np.ones(lo.size, dtype=bool)
-        keep[worst] = False
-        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
-        tm, te, gk_err, row_err = (np.concatenate([old[keep], part])
-                                   for old, part in zip((tm, te, gk_err, row_err), new))
+    try:
+        tm, te, error, met, _ = _bisect_panels(
+            lambda lo, hi: _tail_panels(model, gap, zeta1, kind, lo, hi),
+            breaks[:-1], breaks[1:],
+            lambda tm, te: tol * abs(head + (tm + ends_tm) + (te + ends_te)) / 10.0,
+            remainder)
+    except ConvergenceError:
+        _raise_non_finite(kept, "Euler-Maclaurin tail")
+    return (tm + ends_tm, te + ends_te, error) if met else None
 
 
 def _predicted_stop(kappa: float, tol: float) -> int:
@@ -719,6 +747,36 @@ def _raise_non_finite(kept, what: str):
                            best_estimate=_partial_sum(kept), error_estimate=math.inf)
 
 
+def _thermal_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
+    """Free energy (``kind`` "energy") or pressure ("pressure") from the sum.
+
+    Applies the prefactor, k T / 8 pi a^2 or -k T / 8 pi a^3, to the
+    reduced terms, tail and error estimates of ``_matsubara_sum``.
+    """
+    if not 0.0 < tol <= 1e-4:
+        raise ValueError(f"tol must be in (0, 1e-4], got {tol}")
+    kT = K_BOLTZMANN * system.temperature
+    if kind == "energy":
+        pref = kT / (8.0 * math.pi * system.gap ** 2)
+    else:
+        pref = -kT / (8.0 * math.pi * system.gap ** 3)
+    try:
+        terms_tm, terms_te, _, last_m, tail, (tail_tm, tail_te) = _matsubara_sum(
+            system, kind, tol, m_max)
+    except ConvergenceError as exc:
+        raise ConvergenceError(str(exc), best_estimate=pref * exc.best_estimate,
+                               error_estimate=abs(pref) * exc.error_estimate) from None
+    tm = pref * fsum(np.append(terms_tm, tail_tm))
+    te = pref * fsum(np.append(terms_te, tail_te))
+    if kind == "pressure":
+        return PressureResult(pressure=tm + te, te_part=te, tm_part=tm,
+                              m_max=last_m, tail_estimate=pref * tail)
+    terms = pref * (terms_tm + terms_te)
+    terms.flags.writeable = False
+    return FreeEnergyResult(total=tm + te, te_part=te, tm_part=tm, terms=terms,
+                            m_max=last_m, tail_estimate=pref * tail)
+
+
 def free_energy(system: PlateSystem, tol: float = 1e-6,
                 m_max: int = 500_000) -> FreeEnergyResult:
     """Helmholtz free energy per unit area, J/m^2 (negative: attraction).
@@ -734,23 +792,7 @@ def free_energy(system: PlateSystem, tol: float = 1e-6,
     ``m_max`` argument caps the direct sum; a rung is used only when
     M + 3 <= ``m_max``.
     """
-    if not 0.0 < tol <= 1e-4:
-        raise ValueError(f"tol must be in (0, 1e-4], got {tol}")
-    kT = K_BOLTZMANN * system.temperature
-    pref = kT / (8.0 * math.pi * system.gap ** 2)
-    try:
-        terms_tm, terms_te, _, last_m, tail, (tail_tm, tail_te) = _matsubara_sum(
-            system, "energy", tol, m_max)
-    except ConvergenceError as exc:
-        raise ConvergenceError(str(exc), best_estimate=pref * exc.best_estimate,
-                               error_estimate=pref * exc.error_estimate) from None
-    tm = pref * fsum(np.append(terms_tm, tail_tm))
-    te = pref * fsum(np.append(terms_te, tail_te))
-    terms = pref * (terms_tm + terms_te)
-    terms.flags.writeable = False
-    return FreeEnergyResult(total=tm + te, te_part=te, tm_part=tm,
-                            terms=terms, m_max=last_m,
-                            tail_estimate=pref * tail)
+    return _thermal_sum(system, "energy", tol, m_max)
 
 
 def pressure(system: PlateSystem, tol: float = 1e-6,
@@ -761,20 +803,7 @@ def pressure(system: PlateSystem, tol: float = 1e-6,
     ``m_max`` and ``tail_estimate`` on the direct and the
     Euler-Maclaurin paths.
     """
-    if not 0.0 < tol <= 1e-4:
-        raise ValueError(f"tol must be in (0, 1e-4], got {tol}")
-    kT = K_BOLTZMANN * system.temperature
-    pref = -kT / (8.0 * math.pi * system.gap ** 3)
-    try:
-        terms_tm, terms_te, _, last_m, tail, (tail_tm, tail_te) = _matsubara_sum(
-            system, "pressure", tol, m_max)
-    except ConvergenceError as exc:
-        raise ConvergenceError(str(exc), best_estimate=pref * exc.best_estimate,
-                               error_estimate=abs(pref) * exc.error_estimate) from None
-    tm = pref * fsum(np.append(terms_tm, tail_tm))
-    te = pref * fsum(np.append(terms_te, tail_te))
-    return PressureResult(pressure=tm + te, te_part=te, tm_part=tm,
-                          m_max=last_m, tail_estimate=pref * tail)
+    return _thermal_sum(system, "pressure", tol, m_max)
 
 
 def coefficient_surface(model: ReflectionModel, zeta_grid, kperp_grid) -> CoefficientSurface:

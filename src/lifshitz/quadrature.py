@@ -4,7 +4,8 @@ Everything downstream integrates smooth integrands over graded panel
 meshes. Two rules are provided:
 
 * a 7/15 Gauss-Kronrod pair, used where an error estimate is needed
-  (thermal Matsubara terms, the zero-temperature double integral);
+  (Matsubara terms and the panels of the integral over the Matsubara
+  index);
 * plain Gauss-Legendre panels, used inside difference engines where the
   mesh must be a smooth function of its parameters so that quadrature
   error cancels between a sum and an integral sharing the evaluator.

@@ -1,0 +1,63 @@
+"""Every function the benchmark's tracer wraps still exists and still runs.
+
+``perfbench/tracer.py`` wraps library functions by name and prints a
+metric as ``null`` when its function is gone, which the benchmark's
+self-test rejects. These tests read its ``WRAPPED`` list without
+editing the file and resolve each name the way ``Tracer.__enter__``
+does: a module attribute, or a method in its class's own ``vars``.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from lifshitz import zero_temp
+from lifshitz.dispersion import GOLD
+
+_TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load_tracer()
+
+
+def _resolve(name):
+    module_name, path = name.split(":")
+    owner = importlib.import_module(f"lifshitz.{module_name}")
+    *classes, attr = path.split(".")
+    for cls in classes:
+        owner = getattr(owner, cls, None)
+    return vars(owner).get(attr) if owner is not None else None
+
+
+@pytest.mark.parametrize("name", [entry[0] for entry in tracer.WRAPPED])
+def test_wrapped_binding_exists(name):
+    assert callable(_resolve(name)), f"{name} is wrapped by the tracer but not defined"
+
+
+def test_layer_metric_sources_are_wrapped():
+    wrapped = {entry[0] for entry in tracer.WRAPPED}
+    for metric in tracer.LAYER_METRICS:
+        assert set(metric.sources) <= wrapped, metric.name
+
+
+def test_traced_zero_temp_call_reports_every_metric():
+    probes = {m.name: 0.0 for m in tracer.LAYER_METRICS if m.kind in ("probe", "run")}
+    with tracer.Tracer() as trace:  # it patches the bindings of lifshitz modules
+        zero_temp.free_energy_T0(1e-6, GOLD, tol=1e-8)
+    assert trace.missing == set()
+    metrics = trace.metrics(probes)
+    assert [name for name, value in metrics.items() if value is None] == []
+    assert metrics["zero_temp.calls"] == 1
+    assert metrics["zero_temp.rect_batches"] >= 1
+    assert metrics["zero_temp.evaluations"] == metrics["core.mode_rows"] > 0

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lifshitz.constants import C_LIGHT, HBAR
 from lifshitz.core import IdealMetal, PlateSystem
-from lifshitz.dispersion import GOLD, PlasmaModel
+from lifshitz.dispersion import GOLD, PlasmaModel, TabulatedPermittivity
 from lifshitz.errors import ConvergenceError
 from lifshitz import zero_temp
 from lifshitz.zero_temp import free_energy_T0, ideal_metal_T0
@@ -65,9 +67,11 @@ def test_low_temperature_consistency():
 
 
 def test_budget_exhaustion_carries_estimate():
+    # the rows' own errors alone exceed 1e-15 of F0: no panel count reaches it
     with pytest.raises(ConvergenceError) as err:
-        free_energy_T0(1e-6, GOLD, tol=1e-13, max_evals=3000)
+        free_energy_T0(1e-6, GOLD, tol=1e-15)
     assert err.value.best_estimate == pytest.approx(-3.915e-10, rel=5e-2)
+    assert 0.0 < err.value.error_estimate < 1e-8 * abs(err.value.best_estimate)
 
 
 def test_invalid_args():
@@ -78,14 +82,53 @@ def test_invalid_args():
         free_energy_T0(1e-6, GOLD, tol=0.0)
 
 
-def test_rect_blocks_match_rect_by_rect_evaluation():
-    # the 234 starting rects run in blocks of _RECT_BLOCK; each rect is
-    # independent, so the batch equals one rect at a time to the last bit
-    v, w = zero_temp._V_BREAKS, zero_temp._W_BREAKS
-    rects = [(v[i], v[i + 1], w[j], w[j + 1])
-             for i in range(v.size - 1) for j in range(w.size - 1)]
-    assert len(rects) == 234 and len(rects) % zero_temp._RECT_BLOCK != 0
-    batch = zero_temp._eval_rects(GOLD, 1e-6, rects)
-    single = [zero_temp._eval_rects(GOLD, 1e-6, [rect]) for rect in rects]
-    for whole, parts in zip(batch, zip(*single)):
-        assert np.array_equal(whole, np.concatenate(parts))
+# free_energy_T0(tol=1e-13) of the 2-D tensor-product engine this
+# integral was computed with before it moved onto the v panels of the
+# Euler-Maclaurin tail: an independent quadrature of the same integral
+_TABLE_Z = np.geomspace(1e12, 1e18, 601)
+_T0_PINS = [
+    ("gold", 0.2e-6, -3.675533571685648e-08),
+    ("gold", 1e-6, -3.915133981578031e-10),
+    ("gold", 8e-6, -8.279358241383791e-13),
+    ("plasma", 0.2e-6, -3.740300453516107e-08),
+    ("plasma", 1e-6, -3.9828710838339003e-10),
+    ("plasma", 8e-6, -8.372779265207781e-13),
+    ("table", 0.2e-6, -3.6755335716904776e-08),
+    ("table", 1e-6, -3.915133981577525e-10),
+    ("table", 8e-6, -8.279358241382228e-13),
+]
+_T0_MODELS = {"gold": GOLD, "plasma": PlasmaModel(GOLD.omega_p),
+              "table": TabulatedPermittivity(_TABLE_Z, GOLD.epsilon(_TABLE_Z))}
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-11])
+@pytest.mark.parametrize("name, gap, pinned", _T0_PINS)
+def test_matches_the_two_dimensional_engine(name, gap, pinned, tol):
+    res = free_energy_T0(gap, _T0_MODELS[name], tol=tol)
+    assert abs(res.f0 - pinned) <= tol * abs(res.f0)
+    assert res.error_estimate <= tol * abs(res.f0)
+    assert res.evaluations >= 210 and res.evaluations % 15 == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(gap=st.floats(0.1e-6, 10e-6), tol=st.sampled_from([1e-6, 1e-8, 1e-11]))
+def test_ideal_metal_error_estimate_bounds_the_error(gap, tol):
+    res = free_energy_T0(gap, IdealMetal(), tol=tol)
+    exact = ideal_metal_T0(gap)
+    assert abs(res.f0 - exact) <= res.error_estimate + 4.0 * math.ulp(exact)
+
+
+def test_eval_rects_is_the_live_panel_evaluator(monkeypatch):
+    # free_energy_T0 looks the evaluator up at call time, so a patch of
+    # the module binding (as a tracer installs) sees every panel batch
+    calls = []
+    real = zero_temp._eval_rects
+
+    def counting(model, gap, lo, hi):
+        calls.append(lo.size)
+        return real(model, gap, lo, hi)
+
+    monkeypatch.setattr(zero_temp, "_eval_rects", counting)
+    res = free_energy_T0(1e-6, GOLD, tol=1e-11)
+    assert calls[0] == 14 and all(n == 8 for n in calls[1:])
+    assert res.evaluations == 15 * sum(calls)
