@@ -3,7 +3,7 @@
 from .constants import (CONSTANTS, C_LIGHT, HBAR, K_BOLTZMANN,
                         ev_to_rad_per_s, matsubara_frequency)
 from .core import (CoefficientSurface, FreeEnergyResult, IdealMetal,
-                   MatsubaraTerm, PlateSystem, PressureResult, ReflectionPair,
+                   PlateSystem, PressureResult, ReflectionPair,
                    TmOnlyIdealMetal, coefficient_surface, free_energy,
                    pressure, reflection_coefficients, zero_mode_coefficients)
 from .dispersion import (GOLD, GOLD_NU_EV, GOLD_OMEGA_P_EV,
@@ -24,7 +24,7 @@ from .zero_temp import ZeroTempResult, free_energy_T0, ideal_metal_T0
 __all__ = [
     "CONSTANTS", "C_LIGHT", "HBAR", "K_BOLTZMANN",
     "ev_to_rad_per_s", "matsubara_frequency",
-    "CoefficientSurface", "FreeEnergyResult", "IdealMetal", "MatsubaraTerm",
+    "CoefficientSurface", "FreeEnergyResult", "IdealMetal",
     "PlateSystem", "PressureResult", "ReflectionPair", "TmOnlyIdealMetal",
     "coefficient_surface", "free_energy", "pressure",
     "reflection_coefficients", "zero_mode_coefficients",

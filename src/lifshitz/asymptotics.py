@@ -20,8 +20,8 @@ difference sum' g - integral g. Its leading term gives
 
 where the Pade denominator resums the half-power correction whose
 numeric strength 0.204 is taken as a given constant. Everything here
-assumes zeta_m well below the relaxation rate nu; callers outside that
-window get a RegimeError.
+assumes zeta_m well below the relaxation rate nu; ``thermo`` evaluates
+g only at T <= 0.2 K and raises RegimeError above.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import numpy as np
 from .constants import (C_LIGHT, HBAR, K_BOLTZMANN, TWO_LN2_MINUS_1,
                         matsubara_frequency)
 from .dispersion import DrudeModel
-from .errors import RegimeError
 from .quadrature import gl_panels, log1mexp
 
 # g'(0) = integral_0^inf x ln(1 - B) dx in closed form
@@ -80,11 +79,6 @@ class AsymptoticContext:
         """Matsubara frequency of continuous index m, rad/s."""
         return matsubara_frequency(m, self.temperature)
 
-    @property
-    def regime_limit(self) -> float:
-        """Largest zeta for which the low-frequency reduction is trusted."""
-        return self.nu / 10.0
-
 
 @dataclass(frozen=True)
 class AsymptoticCoefficients:
@@ -120,24 +114,6 @@ def _g_many(ctx: AsymptoticContext, m):
     w = alpha[:, None] * nodes + 4.0 * np.arcsinh(nodes)
     vals = nodes * log1mexp(w)
     return m * (vals * weights).sum(axis=1)
-
-
-def g_of_m(ctx: AsymptoticContext, m) -> float:
-    """g(m) of the TE expansion; g(0) = 0. Scalar m >= 0.
-
-    Raises RegimeError once zeta_m exceeds nu/10, where the
-    low-frequency reflection profile stops being valid.
-    """
-    m = float(m)
-    if m < 0.0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if m == 0.0:
-        return 0.0
-    if ctx.zeta(m) > ctx.regime_limit:
-        raise RegimeError(
-            f"zeta_{m:g} = {ctx.zeta(m):.3e} rad/s exceeds the expansion "
-            f"window nu/10 = {ctx.regime_limit:.3e} rad/s")
-    return float(_g_many(ctx, m)[0])
 
 
 def te_slope_integral(rel_tol: float = 1e-12) -> float:
@@ -188,7 +164,7 @@ def pade_delta_f(coeffs: AsymptoticCoefficients, temperature: float) -> float:
 
 def g_slope_at_zero(ctx: AsymptoticContext,
                     steps=(1e-3, 5e-4, 2.5e-4)) -> float:
-    """g'(0) from secants of g_of_m extrapolated to step 0.
+    """g'(0) from secants of _g_many extrapolated to step 0.
 
     g carries a half-power term at the origin, so the secants
     g(h)/h are fitted with the model s + b sqrt(h) + c h and the

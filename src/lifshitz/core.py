@@ -21,9 +21,9 @@ P = -dF/da:
     P = -(k_B T / 8 pi a^3) * sum'_m Integral y^2 / (e^{y - ln R} - 1) dy.
 
 The m = 0 term never comes from a zeta -> 0 numerical limit; its
-reflection coefficients are the analytic limits supplied by
-``zero_mode_coefficients`` (Drude-like metals lose the TE zero mode,
-the plasma model keeps a q-dependent one).
+reflection coefficients are the analytic limits that each model gives
+as ``zero_mode_log_reflection(q)`` (Drude-like metals lose the TE zero
+mode, the plasma model keeps a q-dependent one).
 
 Each y integral runs on GK15 panels at fixed offsets from its own y0.
 The zero mode and rows with y0 < e^0.3 - 1 use a dense 29-panel mesh
@@ -69,8 +69,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .constants import C_LIGHT, K_BOLTZMANN, matsubara_frequency
-from .dispersion import (ConstantPermittivity, DispersionModel, DrudeModel,
-                         PlasmaModel, TabulatedPermittivity)
+from .dispersion import DispersionModel
 from .errors import ConvergenceError
 from .quadrature import (adaptive_gk, euler_maclaurin_endpoint, fsum, gk_panels,
                          inv_expm1, log1mexp)
@@ -80,10 +79,17 @@ from .quadrature import (adaptive_gk, euler_maclaurin_endpoint, fsum, gk_panels,
 class IdealMetal:
     """Perfect reflector: A = B = 1 at every frequency including m = 0."""
 
+    def zero_mode_log_reflection(self, q):
+        # two arrays, not one twice: the kernels overwrite ln A and ln B in place
+        return np.zeros_like(q), np.zeros_like(q)
+
 
 @dataclass(frozen=True)
 class TmOnlyIdealMetal:
     """Forced A = 1, B = 0 at every frequency; isolates the TM channel."""
+
+    def zero_mode_log_reflection(self, q):
+        return np.zeros_like(q), None
 
 
 ReflectionModel = Union[DispersionModel, IdealMetal, TmOnlyIdealMetal]
@@ -111,19 +117,6 @@ class ReflectionPair:
 
     a_tm: object
     b_te: object
-
-
-@dataclass(frozen=True)
-class MatsubaraTerm:
-    """One term of the Matsubara sum, as it enters the sum.
-
-    The m = 0 value already carries its half weight. Units J/m^2.
-    """
-
-    total: float
-    te_part: float
-    tm_part: float
-    error: float
 
 
 @dataclass(frozen=True)
@@ -227,12 +220,10 @@ def _gk_integrate(values, wk, wg):
 
 
 def _log_reflection(model: ReflectionModel, zeta_col, p):
-    """(ln A, ln B) on a grid; p = q c / zeta >= 1. None means R identically 0."""
-    if isinstance(model, IdealMetal):
-        z = np.zeros(np.broadcast_shapes(np.shape(zeta_col), np.shape(p)))
-        return z, z.copy()
-    if isinstance(model, TmOnlyIdealMetal):
-        return np.zeros(np.broadcast_shapes(np.shape(zeta_col), np.shape(p))), None
+    """(ln A, ln B) on the grid of p = q c / zeta >= 1. None means R identically 0."""
+    if isinstance(model, (IdealMetal, TmOnlyIdealMetal)):
+        # R does not depend on zeta or q: the zero mode on the grid
+        return model.zero_mode_log_reflection(p)
     em1 = np.asarray(model.eps_minus_one(zeta_col), dtype=float)
     with np.errstate(divide="ignore"):
         ln_em1 = np.log(em1)
@@ -276,12 +267,7 @@ def reflection_coefficients(model: ReflectionModel, zeta, q) -> ReflectionPair:
     if np.any(q * C_LIGHT < zeta * (1.0 - 1e-12)):
         raise ValueError("q must be >= zeta/c (evanescent-side domain)")
     p = np.maximum(q * C_LIGHT / zeta, 1.0)
-    ln_a, ln_b = _log_reflection(model, zeta, p)
-    a = np.exp(ln_a)
-    b = np.exp(ln_b) if ln_b is not None else np.zeros_like(a)
-    if a.ndim == 0:
-        return ReflectionPair(float(a), float(b))
-    return ReflectionPair(a, b)
+    return _reflection_pair(_log_reflection(model, zeta, p), p.shape)
 
 
 def zero_mode_coefficients(model: ReflectionModel, q) -> ReflectionPair:
@@ -289,51 +275,15 @@ def zero_mode_coefficients(model: ReflectionModel, q) -> ReflectionPair:
     q = np.asarray(q, dtype=float)
     if np.any(q <= 0.0):
         raise ValueError("q must be > 0")
-    ones = np.ones_like(q)
-    zeros = np.zeros_like(q)
-    if isinstance(model, IdealMetal):
-        return ReflectionPair(_maybe_scalar(ones), _maybe_scalar(ones.copy()))
-    if isinstance(model, TmOnlyIdealMetal):
-        return ReflectionPair(_maybe_scalar(ones), _maybe_scalar(zeros))
-    if isinstance(model, PlasmaModel):
-        kappa = model.omega_p / C_LIGHT
-        root = np.sqrt(q * q + kappa * kappa)
-        b = ((kappa * kappa) / (root + q) ** 2) ** 2
-        return ReflectionPair(_maybe_scalar(ones), _maybe_scalar(b))
-    if isinstance(model, ConstantPermittivity):
-        eps = model.value
-        a = ((eps - 1.0) / (eps + 1.0)) ** 2 * ones
-        return ReflectionPair(_maybe_scalar(a), _maybe_scalar(zeros))
-    if isinstance(model, (DrudeModel, TabulatedPermittivity)):
-        # eps ~ 1/zeta: TM saturates at 1, the TE mode dies with
-        # zeta^2 (eps - 1) -> 0
-        return ReflectionPair(_maybe_scalar(ones), _maybe_scalar(zeros))
-    raise TypeError(f"unsupported model {model!r}")
+    return _reflection_pair(model.zero_mode_log_reflection(q), q.shape)
 
 
-def _maybe_scalar(arr):
-    return float(arr) if arr.ndim == 0 else arr
-
-
-def _zero_mode_log_reflection(model: ReflectionModel, q):
-    """(ln A0, ln B0) with None for an absent channel, stable near B0 -> 1."""
-    if isinstance(model, IdealMetal):
-        z = np.zeros_like(q)
-        return z, z.copy()
-    if isinstance(model, (TmOnlyIdealMetal, DrudeModel, TabulatedPermittivity)):
-        return np.zeros_like(q), None
-    if isinstance(model, PlasmaModel):
-        kappa = model.omega_p / C_LIGHT
-        root = np.sqrt(q * q + kappa * kappa)
-        ln_b = 4.0 * (np.log(kappa) - np.log(root + q))
-        return np.zeros_like(q), ln_b
-    if isinstance(model, ConstantPermittivity):
-        eps = model.value
-        if eps == 1.0:
-            return None, None
-        ln_a = np.full_like(q, 2.0 * (math.log(eps - 1.0) - math.log(eps + 1.0)))
-        return ln_a, None
-    raise TypeError(f"unsupported model {model!r}")
+def _reflection_pair(logs, shape) -> ReflectionPair:
+    """exp of (ln A, ln B), None read as R = 0; floats at a scalar point."""
+    a, b = (np.zeros(shape) if ln is None else np.exp(ln) for ln in logs)
+    if a.ndim == 0:
+        return ReflectionPair(float(a), float(b))
+    return ReflectionPair(a, b)
 
 
 # The kernels work in the ln_r buffer, which they overwrite: each fresh
@@ -405,7 +355,7 @@ def zero_mode_integrals(model: ReflectionModel, gap: float, kind: str = "energy"
     kernel = _KERNELS[kind]
     ref_nodes, wk, wg = _DENSE_MESH
     nodes = ref_nodes[None, :]
-    ln_a, ln_b = _zero_mode_log_reflection(model, nodes / (2.0 * gap))
+    ln_a, ln_b = model.zero_mode_log_reflection(nodes / (2.0 * gap))
     s_tm = s_te = e_tm = e_te = np.zeros(1)
     if ln_a is not None:
         s_tm, e_tm = _gk_integrate(kernel(nodes, ln_a), wk, wg)
@@ -434,35 +384,6 @@ def _refine_mode(model, gap, zeta, kind, rel_tol, budget=10_000):
         return s_tm, 0.0, e_tm, 0.0
     s_te, e_te, _ = adaptive_gk(f_pol("te"), breaks, rel_tol, node_budget=budget)
     return s_tm, s_te, e_tm, e_te
-
-
-def matsubara_term(system: PlateSystem, m: int, quad_tol: float = 1e-9) -> MatsubaraTerm:
-    """Free-energy contribution of Matsubara index m, in J/m^2.
-
-    The m = 0 value is returned with its half weight already applied.
-    """
-    if not (isinstance(m, (int, np.integer)) and m >= 0):
-        raise ValueError(f"m must be an integer >= 0, got {m!r}")
-    if not 0.0 < quad_tol <= 1e-3:
-        raise ValueError(f"quad_tol must be in (0, 1e-3], got {quad_tol}")
-    kT = K_BOLTZMANN * system.temperature
-    pref = kT / (8.0 * math.pi * system.gap ** 2)
-    if m == 0:
-        s_tm, s_te, err = zero_mode_integrals(system.model, system.gap, "energy")
-        w = 0.5
-        return MatsubaraTerm(w * pref * (s_tm + s_te), w * pref * s_te,
-                             w * pref * s_tm, w * pref * err)
-    zeta = matsubara_frequency(m, system.temperature)
-    s_tm, s_te, e_tm, e_te = mode_integrals(system.model, system.gap, zeta, "energy")
-    total = s_tm[0] + s_te[0]
-    if (e_tm[0] + e_te[0]) > quad_tol * max(abs(total), 1e-300):
-        s_tm0, s_te0, e_tm0, e_te0 = _refine_mode(
-            system.model, system.gap, zeta, "energy", quad_tol)
-        s_tm, s_te = np.array([s_tm0]), np.array([s_te0])
-        e_tm, e_te = np.array([e_tm0]), np.array([e_te0])
-        total = s_tm[0] + s_te[0]
-    return MatsubaraTerm(pref * total, pref * s_te[0], pref * s_tm[0],
-                         pref * (e_tm[0] + e_te[0]))
 
 
 def _first(mask) -> int:

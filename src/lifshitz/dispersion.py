@@ -1,8 +1,14 @@
 """Dielectric permittivity along the imaginary frequency axis.
 
-Every model exposes ``epsilon(zeta)`` and ``eps_minus_one(zeta)`` for
-zeta > 0 in rad/s; ``eps_minus_one`` exists because the reflection
-kernels need log(eps - 1) without cancellation when eps is close to 1.
+A material supplies three methods:
+
+* ``epsilon(zeta)``: eps(i zeta) for zeta > 0 in rad/s;
+* ``eps_minus_one(zeta)``: eps - 1, because the reflection kernels need
+  log(eps - 1) without cancellation when eps is close to 1;
+* ``zero_mode_log_reflection(q)``: (ln A0, ln B0), the analytic
+  zeta -> 0 limits of ln A (TM) and ln B (TE) at transverse wavenumber
+  q, with None for a channel whose R is 0. The two arrays never share
+  memory: the sum's kernels overwrite them in place.
 
 Models:
 
@@ -60,6 +66,11 @@ class DrudeModel:
     def epsilon(self, zeta):
         return 1.0 + self.eps_minus_one(zeta)
 
+    def zero_mode_log_reflection(self, q):
+        # eps ~ 1/zeta: TM saturates at 1, the TE mode dies with
+        # zeta^2 (eps - 1) -> 0
+        return np.zeros_like(q), None
+
     @property
     def plasma_wavelength(self) -> float:
         """2 pi c / omega_p in metres."""
@@ -83,6 +94,13 @@ class PlasmaModel:
     def epsilon(self, zeta):
         return 1.0 + self.eps_minus_one(zeta)
 
+    def zero_mode_log_reflection(self, q):
+        # zeta^2 (eps - 1) -> omega_p^2 keeps a TE zero mode,
+        # B0 = ((root - q) / (root + q))^2 = (kappa / (root + q))^4
+        kappa = self.omega_p / C_LIGHT
+        root = np.sqrt(q * q + kappa * kappa)
+        return np.zeros_like(q), 4.0 * (np.log(kappa) - np.log(root + q))
+
 
 @dataclass(frozen=True)
 class ConstantPermittivity:
@@ -102,6 +120,13 @@ class ConstantPermittivity:
         z = _validated_zeta(zeta)
         return np.full_like(z, self.value) if z.ndim else self.value
 
+    def zero_mode_log_reflection(self, q):
+        # A0 = ((eps - 1) / (eps + 1))^2; no TE zero mode
+        eps = self.value
+        if eps == 1.0:
+            return None, None
+        return np.full_like(q, 2.0 * (math.log(eps - 1.0) - math.log(eps + 1.0))), None
+
 
 class TabulatedPermittivity:
     """Permittivity interpolated from (zeta, eps) samples.
@@ -111,11 +136,13 @@ class TabulatedPermittivity:
     enough for 1e-6-level free-energy reproduction at realistic grid
     densities. Below the range the permittivity follows a Drude model
     fitted to the lowest decade of samples; above it, a power law
-    continuing the last log-log slope.
+    continuing the last log-log slope. The zero mode is that of the
+    low-frequency model: the fitted Drude model unless ``low_freq_model``
+    gives another.
     """
 
     def __init__(self, zeta: np.ndarray, eps: np.ndarray,
-                 low_freq_model: DrudeModel | None = None):
+                 low_freq_model: DispersionModel | None = None):
         zeta = np.asarray(zeta, dtype=float)
         eps = np.asarray(eps, dtype=float)
         if zeta.ndim != 1 or zeta.size < 2 or zeta.shape != eps.shape:
@@ -189,6 +216,9 @@ class TabulatedPermittivity:
     def epsilon(self, zeta):
         return 1.0 + self.eps_minus_one(zeta)
 
+    def zero_mode_log_reflection(self, q):
+        return self.low_freq_model.zero_mode_log_reflection(q)
+
 
 DispersionModel = Union[DrudeModel, PlasmaModel, ConstantPermittivity,
                         TabulatedPermittivity]
@@ -197,13 +227,6 @@ DispersionModel = Union[DrudeModel, PlasmaModel, ConstantPermittivity,
 GOLD_OMEGA_P_EV = 9.03
 GOLD_NU_EV = 0.0345
 GOLD = DrudeModel(ev_to_rad_per_s(GOLD_OMEGA_P_EV), ev_to_rad_per_s(GOLD_NU_EV))
-
-
-def zeta_sq_times_eps_minus_one(model: DispersionModel, zeta):
-    """zeta^2 (eps(i zeta) - 1); its zeta -> 0 limit decides whether the
-    transverse-electric zero mode survives."""
-    z = _validated_zeta(zeta)
-    return z ** 2 * model.eps_minus_one(z)
 
 
 def load_permittivity_table(source) -> TabulatedPermittivity:

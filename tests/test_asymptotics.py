@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from lifshitz.asymptotics import (G_SLOPE_EXACT, AsymptoticCoefficients,
-                                  AsymptoticContext, coefficients,
-                                  delta_f_te_leading, g_of_m, g_slope_at_zero,
+                                  AsymptoticContext, _g_many, coefficients,
+                                  delta_f_te_leading, g_slope_at_zero,
                                   pade_delta_f, te_slope_integral)
 from lifshitz.constants import (C_LIGHT, HBAR, K_BOLTZMANN, TWO_LN2_MINUS_1)
 from lifshitz.dispersion import GOLD, DrudeModel
-from lifshitz.errors import RegimeError
 
 CTX_COLD = AsymptoticContext.from_material(GOLD, 1e-6, 1e-4)
 
@@ -28,28 +27,14 @@ class TestSlopeConstant:
 
 
 class TestGOfM:
-    def test_zero_at_origin(self):
-        assert g_of_m(CTX_COLD, 0.0) == 0.0
-
     def test_negative_for_positive_m(self):
         ctx = AsymptoticContext.from_material(GOLD, 1e-6, 0.01)
-        for m in (0.5, 1.0, 4.0):
-            assert g_of_m(ctx, m) < 0.0
+        assert np.all(_g_many(ctx, [0.5, 1.0, 4.0]) < 0.0)
 
     def test_small_m_linear_regime(self):
         # g(m) ~ g'(0) m while alpha(m) stays small
-        val = g_of_m(CTX_COLD, 1e-3)
+        val = _g_many(CTX_COLD, 1e-3)[0]
         assert val == pytest.approx(G_SLOPE_EXACT * 1e-3, rel=2e-2)
-
-    def test_regime_guard(self):
-        ctx = AsymptoticContext.from_material(GOLD, 1e-6, 1.0)
-        # zeta_m crosses nu/10 near m ~ 6 at 1 K
-        with pytest.raises(RegimeError):
-            g_of_m(ctx, 10.0)
-
-    def test_rejects_negative_m(self):
-        with pytest.raises(ValueError):
-            g_of_m(CTX_COLD, -0.5)
 
 
 class TestContext:

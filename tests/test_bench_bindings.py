@@ -14,10 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from lifshitz import zero_temp
-from lifshitz.dispersion import GOLD
+from lifshitz import core, dispersion, zero_temp
+from lifshitz.dispersion import GOLD, PlasmaModel
 
-_TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_TRACER_PATH = _PERFBENCH / "tracer.py"
+_TABLE_PATH = _PERFBENCH / "data" / "gold_drude_601.txt"
 
 
 def _load_tracer():
@@ -51,8 +53,12 @@ def test_layer_metric_sources_are_wrapped():
         assert set(metric.sources) <= wrapped, metric.name
 
 
+def _probes():
+    return {m.name: 0.0 for m in tracer.LAYER_METRICS if m.kind in ("probe", "run")}
+
+
 def test_traced_zero_temp_call_reports_every_metric():
-    probes = {m.name: 0.0 for m in tracer.LAYER_METRICS if m.kind in ("probe", "run")}
+    probes = _probes()
     with tracer.Tracer() as trace:  # it patches the bindings of lifshitz modules
         zero_temp.free_energy_T0(1e-6, GOLD, tol=1e-8)
     assert trace.missing == set()
@@ -61,3 +67,16 @@ def test_traced_zero_temp_call_reports_every_metric():
     assert metrics["zero_temp.calls"] == 1
     assert metrics["zero_temp.rect_batches"] >= 1
     assert metrics["zero_temp.evaluations"] == metrics["core.mode_rows"] > 0
+
+
+def test_traced_room_grid_calls_report_every_metric():
+    """The benchmark's room_grid path: zero modes and sums of its three model classes."""
+    with tracer.Tracer() as trace:
+        table = dispersion.load_permittivity_table(str(_TABLE_PATH))
+        for model in (GOLD, PlasmaModel(GOLD.omega_p), table):
+            core.pressure(core.PlateSystem(1e-6, 300.0, model))
+    assert trace.missing == set()
+    metrics = trace.metrics(_probes())
+    assert [name for name, value in metrics.items() if value is None] == []
+    assert metrics["core.sum_rows_evaluated"] > 0
+    assert metrics["dispersion.eps_calls"] > 0

@@ -10,8 +10,7 @@ from lifshitz.constants import ev_to_rad_per_s
 from lifshitz.dispersion import (GOLD, GOLD_NU_EV, GOLD_OMEGA_P_EV,
                                  ConstantPermittivity, DrudeModel,
                                  PlasmaModel, TabulatedPermittivity,
-                                 load_permittivity_table,
-                                 zeta_sq_times_eps_minus_one)
+                                 load_permittivity_table)
 from lifshitz.errors import TableFormatError
 
 
@@ -38,7 +37,8 @@ class TestDrude:
 
     def test_zero_frequency_divergence(self):
         # eps ~ omega_p^2/(zeta nu) as zeta -> 0, so zeta^2 (eps-1) -> 0
-        small = zeta_sq_times_eps_minus_one(GOLD, 1e-3)
+        z = 1e-3
+        small = z ** 2 * GOLD.eps_minus_one(z)
         assert small == pytest.approx(1e-3 * GOLD.omega_p ** 2 / GOLD.nu, rel=1e-6)
 
     def test_plasma_wavelength(self):
@@ -63,7 +63,7 @@ class TestPlasma:
         # zeta^2 (eps-1) -> omega_p^2, nonzero, unlike the Drude case
         m = PlasmaModel(GOLD.omega_p)
         for z in (1e-6, 1.0, 1e6):
-            assert zeta_sq_times_eps_minus_one(m, z) == pytest.approx(
+            assert z ** 2 * m.eps_minus_one(z) == pytest.approx(
                 GOLD.omega_p ** 2, rel=1e-12)
 
     def test_drude_limit(self):
@@ -120,8 +120,9 @@ class TestTabulated:
 
     def test_zero_mode_class_follows_drude_tail(self):
         tab = self.make_gold_table()
-        assert zeta_sq_times_eps_minus_one(tab, 1e-2) == pytest.approx(
-            zeta_sq_times_eps_minus_one(GOLD, 1e-2), rel=1e-2)
+        z = 1e-2
+        assert z ** 2 * tab.eps_minus_one(z) == pytest.approx(
+            z ** 2 * GOLD.eps_minus_one(z), rel=1e-2)
 
     def test_validation(self):
         with pytest.raises(TableFormatError):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lifshitz.constants import C_LIGHT, HBAR, K_BOLTZMANN, ZETA3
-from lifshitz.core import (IdealMetal, PlateSystem, TmOnlyIdealMetal,
-                           free_energy, matsubara_term, pressure)
+from lifshitz.constants import C_LIGHT, HBAR, K_BOLTZMANN, ZETA3, matsubara_frequency
+from lifshitz.core import (IdealMetal, PlateSystem, TmOnlyIdealMetal, free_energy,
+                           mode_integrals, pressure, zero_mode_integrals)
 from lifshitz.dispersion import GOLD, PlasmaModel
 from lifshitz.errors import ConvergenceError
 
@@ -17,33 +17,38 @@ def classical_zero_mode_energy(gap, temperature):
     return -ZETA3 * K_BOLTZMANN * temperature / (16.0 * math.pi * gap ** 2)
 
 
+def zero_mode_energy(model, gap, temperature):
+    """Half-weighted m = 0 free-energy term as (TM, TE), J/m^2."""
+    s_tm, s_te, _ = zero_mode_integrals(model, gap, "energy")
+    pref = K_BOLTZMANN * temperature / (16.0 * math.pi * gap ** 2)
+    return pref * s_tm, pref * s_te
+
+
 class TestZeroModeTerm:
     def test_drude_matches_closed_form(self):
-        term = matsubara_term(GOLD_1UM_300K, 0)
+        tm, te = zero_mode_energy(GOLD, 1e-6, 300.0)
         exact = classical_zero_mode_energy(1e-6, 300.0)
-        assert term.tm_part == pytest.approx(exact, rel=1e-12)
-        assert term.te_part == 0.0
-        assert term.total == pytest.approx(exact, rel=1e-12)
+        assert tm == pytest.approx(exact, rel=1e-12)
+        assert te == 0.0
 
     def test_ideal_metal_doubles(self):
-        system = PlateSystem(1e-6, 300.0, IdealMetal())
-        term = matsubara_term(system, 0)
+        tm, te = zero_mode_energy(IdealMetal(), 1e-6, 300.0)
         exact = classical_zero_mode_energy(1e-6, 300.0)
-        assert term.tm_part == pytest.approx(exact, rel=1e-12)
-        assert term.te_part == pytest.approx(exact, rel=1e-12)
+        assert tm == pytest.approx(exact, rel=1e-12)
+        assert te == pytest.approx(exact, rel=1e-12)
 
     def test_plasma_te_between_zero_and_full(self):
-        system = PlateSystem(1e-6, 300.0, PlasmaModel(GOLD.omega_p))
-        term = matsubara_term(system, 0)
+        tm, te = zero_mode_energy(PlasmaModel(GOLD.omega_p), 1e-6, 300.0)
         exact = classical_zero_mode_energy(1e-6, 300.0)
-        assert term.tm_part == pytest.approx(exact, rel=1e-12)
-        assert exact < term.te_part < 0.0
+        assert tm == pytest.approx(exact, rel=1e-12)
+        assert exact < te < 0.0
 
     def test_positive_m_negative_and_decaying(self):
-        t1 = matsubara_term(GOLD_1UM_300K, 1)
-        t5 = matsubara_term(GOLD_1UM_300K, 5)
-        assert t1.total < 0.0
-        assert abs(t5.total) < abs(t1.total)
+        zetas = matsubara_frequency(np.array([1.0, 5.0]), 300.0)
+        s_tm, s_te, _, _ = mode_integrals(GOLD, 1e-6, zetas, "energy")
+        t1, t5 = s_tm + s_te
+        assert t1 < 0.0
+        assert abs(t5) < abs(t1)
 
 
 class TestFreeEnergy:
@@ -66,8 +71,8 @@ class TestFreeEnergy:
     def test_high_temperature_zero_mode_dominates(self):
         system = PlateSystem(8e-6, 3000.0, GOLD)
         res = free_energy(system, tol=1e-10)
-        term0 = matsubara_term(system, 0)
-        assert res.total == pytest.approx(term0.total, rel=1e-10)
+        term0 = sum(zero_mode_energy(GOLD, 8e-6, 3000.0))
+        assert res.total == pytest.approx(term0, rel=1e-10)
 
     def test_magnitude_dips_then_grows_with_temperature(self):
         """|F(T)| falls below |F(1 K)|, reaches a minimum, then the
@@ -143,12 +148,6 @@ class TestPlateSystem:
                           (1e-6, math.inf), (math.nan, 300.0)):
             with pytest.raises(ValueError):
                 PlateSystem(gap, temp, GOLD)
-
-    def test_matsubara_term_validation(self):
-        with pytest.raises(ValueError):
-            matsubara_term(GOLD_1UM_300K, -1)
-        with pytest.raises(ValueError):
-            matsubara_term(GOLD_1UM_300K, 1.5)
 
 
 def test_plasma_binds_stronger_than_drude():

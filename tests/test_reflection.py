@@ -6,10 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifshitz.constants import C_LIGHT
-from lifshitz.core import (IdealMetal, TmOnlyIdealMetal, coefficient_surface,
-                           reflection_coefficients, zero_mode_coefficients)
+from lifshitz.core import (IdealMetal, PlateSystem, TmOnlyIdealMetal, _log_reflection,
+                           coefficient_surface, free_energy, reflection_coefficients,
+                           zero_mode_coefficients, zero_mode_integrals)
 from lifshitz.dispersion import (GOLD, ConstantPermittivity, DrudeModel,
                                  PlasmaModel, TabulatedPermittivity)
+
+_TABLE_ZETA = np.geomspace(1e13, 1e17, 100)
+
+# every model class, and vacuum, whose zero mode has no channel at all
+ZERO_MODE_MODELS = {
+    "drude": GOLD,
+    "plasma": PlasmaModel(GOLD.omega_p),
+    "eps4": ConstantPermittivity(4.0),
+    "vacuum": ConstantPermittivity(1.0),
+    "table": TabulatedPermittivity(_TABLE_ZETA, GOLD.epsilon(_TABLE_ZETA)),
+    "ideal": IdealMetal(),
+    "tm_only": TmOnlyIdealMetal(),
+}
 
 
 def naive_pair(eps, zeta, q):
@@ -125,6 +139,42 @@ class TestZeroMode:
         pair = zero_mode_coefficients(IdealMetal(), 1e6)
         assert pair.a_tm == 1.0
         assert pair.b_te == 1.0
+
+    @pytest.mark.parametrize("name", ZERO_MODE_MODELS)
+    def test_coefficients_are_exp_of_the_log_form(self, name):
+        model = ZERO_MODE_MODELS[name]
+        q = np.geomspace(1e5, 1e8, 4)
+        logs = model.zero_mode_log_reflection(q)
+        pair = zero_mode_coefficients(model, q)
+        for got, ln in zip((pair.a_tm, pair.b_te), logs):
+            np.testing.assert_array_equal(got, np.zeros_like(q) if ln is None else np.exp(ln))
+        scalar = zero_mode_coefficients(model, q[1])
+        assert type(scalar.a_tm) is float and type(scalar.b_te) is float
+        assert scalar.a_tm == pytest.approx(pair.a_tm[1], rel=1e-15, abs=0.0)
+        assert scalar.b_te == pytest.approx(pair.b_te[1], rel=1e-15, abs=0.0)
+
+    def test_ideal_metal_channels_do_not_share_memory(self):
+        # the energy and pressure kernels overwrite ln A and ln B in place
+        ln_a, ln_b = IdealMetal().zero_mode_log_reflection(np.geomspace(1e5, 1e8, 4))
+        assert not np.shares_memory(ln_a, ln_b)
+        ln_a, ln_b = _log_reflection(IdealMetal(), np.array([[1e14]]), np.full((1, 15), 2.0))
+        assert ln_a.shape == ln_b.shape == (1, 15)
+        assert not np.shares_memory(ln_a, ln_b)
+
+    def test_tabulated_takes_its_low_frequency_models_zero_mode(self):
+        plasma = PlasmaModel(GOLD.omega_p)
+        tab = TabulatedPermittivity(_TABLE_ZETA, plasma.epsilon(_TABLE_ZETA),
+                                    low_freq_model=plasma)
+        q = np.geomspace(1e5, 1e8, 4)
+        got, want = zero_mode_coefficients(tab, q), zero_mode_coefficients(plasma, q)
+        np.testing.assert_array_equal(got.a_tm, want.a_tm)
+        np.testing.assert_array_equal(got.b_te, want.b_te)
+        assert np.all(got.b_te > 0.0)  # the TE zero mode a fitted Drude tail would drop
+        assert zero_mode_integrals(tab, 1e-6) == zero_mode_integrals(plasma, 1e-6)
+
+    def test_model_without_a_zero_mode_fails_at_once(self):
+        with pytest.raises(AttributeError, match="zero_mode_log_reflection"):
+            free_energy(PlateSystem(1e-6, 300.0, object()))
 
 
 class TestValidation:
