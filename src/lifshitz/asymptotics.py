@@ -39,6 +39,9 @@ from .quadrature import gl_panels, log1mexp
 # g'(0) = integral_0^inf x ln(1 - B) dx in closed form
 G_SLOPE_EXACT = -0.25 * TWO_LN2_MINUS_1
 
+# secant steps in m that g_slope_at_zero extrapolates to 0
+_SLOPE_STEPS = (1e-3, 5e-4, 2.5e-4)
+
 
 @dataclass(frozen=True)
 class AsymptoticContext:
@@ -51,8 +54,9 @@ class AsymptoticContext:
 
     def __post_init__(self):
         for name in ("omega_p", "nu", "gap", "temperature"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     @classmethod
     def from_material(cls, material: DrudeModel, gap: float,
@@ -116,7 +120,7 @@ def _g_many(ctx: AsymptoticContext, m):
     return m * (vals * weights).sum(axis=1)
 
 
-def te_slope_integral(rel_tol: float = 1e-12) -> float:
+def te_slope_integral() -> float:
     """Numerical g'(0) = integral_0^inf x ln(1 - B(x)) dx.
 
     Closed form -(2 ln 2 - 1)/4; kept numerical so the reduction of the
@@ -130,8 +134,8 @@ def te_slope_integral(rel_tol: float = 1e-12) -> float:
 
 def delta_f_te_leading(material: DrudeModel, temperature: float) -> float:
     """Gap-independent leading TE correction C1 T^2, J/m^2."""
-    if temperature < 0.0:
-        raise ValueError(f"temperature must be >= 0 K, got {temperature}")
+    if not (temperature >= 0.0 and math.isfinite(temperature)):
+        raise ValueError(f"temperature must be finite and >= 0 K, got {temperature}")
     c1 = (TWO_LN2_MINUS_1 * K_BOLTZMANN ** 2 * material.omega_p ** 2
           / (48.0 * HBAR * material.nu * C_LIGHT ** 2))
     return c1 * temperature ** 2
@@ -144,8 +148,8 @@ def coefficients(material: DrudeModel, gap: float) -> AsymptoticCoefficients:
     linearly with the gap and carries the fixed strength 0.204 of the
     half-power correction.
     """
-    if not gap > 0.0:
-        raise ValueError(f"gap must be > 0 m, got {gap}")
+    if not (gap > 0.0 and math.isfinite(gap)):
+        raise ValueError(f"gap must be finite and > 0 m, got {gap}")
     c1 = delta_f_te_leading(material, 1.0)
     c_per_kelvin = (material.omega_p ** 2 * K_BOLTZMANN
                     / (HBAR * material.nu * C_LIGHT ** 2))
@@ -156,24 +160,22 @@ def coefficients(material: DrudeModel, gap: float) -> AsymptoticCoefficients:
 
 def pade_delta_f(coeffs: AsymptoticCoefficients, temperature: float) -> float:
     """dF_TE = c1 T^2 / (1 + c2 sqrt T); positive for T > 0, J/m^2."""
-    if temperature < 0.0:
-        raise ValueError(f"temperature must be >= 0 K, got {temperature}")
+    if not (temperature >= 0.0 and math.isfinite(temperature)):
+        raise ValueError(f"temperature must be finite and >= 0 K, got {temperature}")
     return (coeffs.c1 * temperature ** 2
             / (1.0 + coeffs.c2 * math.sqrt(temperature)))
 
 
-def g_slope_at_zero(ctx: AsymptoticContext,
-                    steps=(1e-3, 5e-4, 2.5e-4)) -> float:
+def g_slope_at_zero(ctx: AsymptoticContext) -> float:
     """g'(0) from secants of _g_many extrapolated to step 0.
 
     g carries a half-power term at the origin, so the secants
-    g(h)/h are fitted with the model s + b sqrt(h) + c h and the
-    intercept s is returned. The half-power coefficient shrinks with
-    sqrt(T), so small-temperature contexts extrapolate best.
+    g(h)/h at the steps h of ``_SLOPE_STEPS`` are fitted with the model
+    s + b sqrt(h) + c h and the intercept s is returned. The half-power
+    coefficient shrinks with sqrt(T), so small-temperature contexts
+    extrapolate best.
     """
-    hs = np.asarray(steps, dtype=float)
-    if hs.size != 3 or np.any(hs <= 0.0):
-        raise ValueError("steps must be three positive step sizes")
+    hs = np.array(_SLOPE_STEPS)
     secants = _g_many(ctx, hs) / hs
     basis = np.stack([np.ones_like(hs), np.sqrt(hs), hs], axis=1)
     coeff = np.linalg.solve(basis, secants)

@@ -21,8 +21,7 @@ from .constants import ev_to_rad_per_s
 from .core import PlateSystem, coefficient_surface, free_energy, pressure
 from .dispersion import (DrudeModel, PlasmaModel, load_permittivity_table)
 from .errors import LifshitzError
-from .thermo import (classical_pressure, collect_lowtemp_samples, entropy,
-                     fit_low_temp, r_series)
+from .thermo import collect_lowtemp_samples, entropy, fit_low_temp, r_series
 from .zero_temp import free_energy_T0
 
 # reference |P| in mPa for gold half-spaces (Drude, omega_p = 9.03 eV,
@@ -149,38 +148,44 @@ def _config_dict(args, **extra):
     return cfg
 
 
-def cmd_pressure(args):
+def _temperature_scan(args, columns, row):
+    """One row per temperature of --temp at the fixed --gap.
+
+    ``row(system)`` gives the values of ``columns``, which follow
+    gap_m and temperature_K.
+    """
     model = build_model(args)
     temps = parse_range(args.temp)
     em = Emitter(_config_dict(args, gap_m=args.gap, temp=args.temp,
                               tol=args.tol),
-                 ["gap_m", "temperature_K", "pressure_Pa", "tm_part_Pa",
-                  "te_part_Pa", "m_last", "tail_Pa"])
+                 ["gap_m", "temperature_K"] + columns)
     for t in temps:
-        res = pressure(PlateSystem(args.gap, float(t), model), tol=args.tol)
-        em.add_row([args.gap, float(t), res.pressure, res.tm_part,
-                    res.te_part, res.m_max, res.tail_estimate])
+        em.add_row([args.gap, float(t)] + row(PlateSystem(args.gap, float(t), model)))
     _write(args, em)
     return 0
 
 
+def cmd_pressure(args):
+    def row(system):
+        res = pressure(system, tol=args.tol)
+        return [res.pressure, res.tm_part, res.te_part, res.m_max, res.tail_estimate]
+    return _temperature_scan(
+        args, ["pressure_Pa", "tm_part_Pa", "te_part_Pa", "m_last", "tail_Pa"], row)
+
+
 def cmd_free_energy(args):
-    model = build_model(args)
     temps = parse_range(args.temp)
     if np.any(temps == 0.0):
         if temps.size != 1:
             raise ValueError("T = 0 must be requested as a scalar, not a range")
         return cmd_zero_temp(args)
-    em = Emitter(_config_dict(args, gap_m=args.gap, temp=args.temp,
-                              tol=args.tol),
-                 ["gap_m", "temperature_K", "free_energy_J_m2",
-                  "tm_part_J_m2", "te_part_J_m2", "m_last", "tail_J_m2"])
-    for t in temps:
-        res = free_energy(PlateSystem(args.gap, float(t), model), tol=args.tol)
-        em.add_row([args.gap, float(t), res.total, res.tm_part, res.te_part,
-                    res.m_max, res.tail_estimate])
-    _write(args, em)
-    return 0
+
+    def row(system):
+        res = free_energy(system, tol=args.tol)
+        return [res.total, res.tm_part, res.te_part, res.m_max, res.tail_estimate]
+    return _temperature_scan(
+        args, ["free_energy_J_m2", "tm_part_J_m2", "te_part_J_m2", "m_last", "tail_J_m2"],
+        row)
 
 
 def cmd_zero_temp(args):
@@ -196,16 +201,8 @@ def cmd_zero_temp(args):
 
 
 def cmd_entropy(args):
-    model = build_model(args)
-    temps = parse_range(args.temp)
-    em = Emitter(_config_dict(args, gap_m=args.gap, temp=args.temp,
-                              tol=args.tol),
-                 ["gap_m", "temperature_K", "entropy_J_m2K"])
-    for t in temps:
-        system = PlateSystem(args.gap, float(t), model)
-        em.add_row([args.gap, float(t), entropy(system, tol=args.tol)])
-    _write(args, em)
-    return 0
+    return _temperature_scan(args, ["entropy_J_m2K"],
+                             lambda system: [entropy(system, tol=args.tol)])
 
 
 def cmd_sweep(args):
@@ -360,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relaxation rate in meV")
         p.add_argument("--table-path", default=None,
                        help="permittivity table for --material table")
-        p.add_argument("--tol", type=float, default=tol)
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if gap:
@@ -396,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("asymptotics", help="low-temperature TE coefficients")
-    add_common(p, temp="optional", tol=1e-9)
+    add_common(p, temp="optional", tol=None)
     p.set_defaults(func=cmd_asymptotics)
 
     p = sub.add_parser("fit-lowtemp", help="fit the low-T shift model")
@@ -408,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_r_series)
 
     p = sub.add_parser("coeff-surface", help="reflection coefficients on a grid")
-    add_common(p, gap=False)
+    add_common(p, gap=False, tol=None)
     p.add_argument("--zeta-range", required=True,
                    help="imaginary frequency grid, start:stop:count:lin|log (rad/s)")
     p.add_argument("--kperp-range", required=True,

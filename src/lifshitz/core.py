@@ -63,8 +63,8 @@ zeta_1 = c / 2a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -307,9 +307,11 @@ def _pressure_kernel(y, ln_r):
     return w
 
 
-_KERNELS: dict[str, Callable] = {
-    "energy": _energy_kernel,
-    "pressure": _pressure_kernel,
+# kind -> (kernel, power p of the gap, sign) of the reduced integrals;
+# the sum's prefactor is sign * k T / (8 pi a^p)
+_KINDS = {
+    "energy": (_energy_kernel, 2, 1.0),
+    "pressure": (_pressure_kernel, 3, -1.0),
 }
 
 
@@ -332,7 +334,7 @@ def mode_integrals(model: ReflectionModel, gap: float, zetas, kind: str = "energ
     zetas = np.atleast_1d(np.asarray(zetas, dtype=float))
     if np.any(zetas <= 0.0):
         raise ValueError("zetas must be > 0; the m = 0 term is analytic")
-    kernel = _KERNELS[kind]
+    kernel = _KINDS[kind][0]
     out = np.zeros((4,) + zetas.shape)
     y0s = (2.0 * gap / C_LIGHT) * zetas
     lean = y0s >= _LEAN_Y0
@@ -352,7 +354,7 @@ def mode_integrals(model: ReflectionModel, gap: float, zetas, kind: str = "energ
 
 def zero_mode_integrals(model: ReflectionModel, gap: float, kind: str = "energy"):
     """Full-weight m = 0 reduced integrals (S0_TM, S0_TE, error) on the dense mesh."""
-    kernel = _KERNELS[kind]
+    kernel = _KINDS[kind][0]
     ref_nodes, wk, wg = _DENSE_MESH
     nodes = ref_nodes[None, :]
     ln_a, ln_b = model.zero_mode_log_reflection(nodes / (2.0 * gap))
@@ -364,9 +366,9 @@ def zero_mode_integrals(model: ReflectionModel, gap: float, kind: str = "energy"
     return float(s_tm[0]), float(s_te[0]), float(e_tm[0] + e_te[0])
 
 
-def _refine_mode(model, gap, zeta, kind, rel_tol, budget=10_000):
+def _refine_mode(model, gap, zeta, kind, rel_tol):
     """Scalar fallback: adaptively re-integrate one Matsubara term."""
-    kernel = _KERNELS[kind]
+    kernel = _KINDS[kind][0]
     y0 = 2.0 * gap * zeta / C_LIGHT
     breaks = y0 + _Y_OFFSETS
 
@@ -378,11 +380,11 @@ def _refine_mode(model, gap, zeta, kind, rel_tol, budget=10_000):
             return kernel(y, ln_r)
         return f
 
-    s_tm, e_tm, _ = adaptive_gk(f_pol("tm"), breaks, rel_tol, node_budget=budget)
+    s_tm, e_tm, _ = adaptive_gk(f_pol("tm"), breaks, rel_tol)
     _, ln_b_probe = _log_reflection(model, zeta, np.array([2.0]))
     if ln_b_probe is None:
         return s_tm, 0.0, e_tm, 0.0
-    s_te, e_te, _ = adaptive_gk(f_pol("te"), breaks, rel_tol, node_budget=budget)
+    s_te, e_te, _ = adaptive_gk(f_pol("te"), breaks, rel_tol)
     return s_tm, s_te, e_tm, e_te
 
 
@@ -671,16 +673,14 @@ def _raise_non_finite(kept, what: str):
 def _thermal_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
     """Free energy (``kind`` "energy") or pressure ("pressure") from the sum.
 
-    Applies the prefactor, k T / 8 pi a^2 or -k T / 8 pi a^3, to the
-    reduced terms, tail and error estimates of ``_matsubara_sum``.
+    Applies the prefactor of ``_KINDS``, k T / 8 pi a^2 or
+    -k T / 8 pi a^3, to the reduced terms, tail and error estimates of
+    ``_matsubara_sum``.
     """
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol must be in (0, 1e-4], got {tol}")
-    kT = K_BOLTZMANN * system.temperature
-    if kind == "energy":
-        pref = kT / (8.0 * math.pi * system.gap ** 2)
-    else:
-        pref = -kT / (8.0 * math.pi * system.gap ** 3)
+    _, power, sign = _KINDS[kind]
+    pref = sign * (K_BOLTZMANN * system.temperature) / (8.0 * math.pi * system.gap ** power)
     try:
         terms_tm, terms_te, _, last_m, tail, (tail_tm, tail_te) = _matsubara_sum(
             system, kind, tol, m_max)

@@ -1,14 +1,17 @@
 """Dielectric permittivity along the imaginary frequency axis.
 
-A material supplies three methods:
+A material supplies the two methods the library calls:
 
-* ``epsilon(zeta)``: eps(i zeta) for zeta > 0 in rad/s;
-* ``eps_minus_one(zeta)``: eps - 1, because the reflection kernels need
-  log(eps - 1) without cancellation when eps is close to 1;
+* ``eps_minus_one(zeta)``: eps(i zeta) - 1 for zeta > 0 in rad/s, not
+  eps itself, because the reflection kernels need log(eps - 1) without
+  cancellation when eps is close to 1;
 * ``zero_mode_log_reflection(q)``: (ln A0, ln B0), the analytic
   zeta -> 0 limits of ln A (TM) and ln B (TE) at transverse wavenumber
   q, with None for a channel whose R is 0. The two arrays never share
   memory: the sum's kernels overwrite them in place.
+
+The models below also give ``epsilon(zeta)``, eps(i zeta), as a
+convenience; the library does not call it.
 
 Models:
 

@@ -187,15 +187,17 @@ def fsum(values) -> float:
     return math.fsum(np.asarray(values, dtype=float).ravel())
 
 
-def adaptive_gk(f, breaks, rel_tol: float, abs_tol: float = 0.0,
-                node_budget: int = 10_000):
+_NODE_BUDGET = 10_000  # integrand values adaptive_gk may spend
+
+
+def adaptive_gk(f, breaks, rel_tol: float):
     """Globally adaptive Gauss-Kronrod integration over initial panels.
 
     ``f`` must accept an ndarray of abscissae and return integrand
     values of the same shape. Bisects the worst panels until the summed
-    error estimate meets max(rel_tol*|I|, abs_tol) or the node budget is
-    exhausted, in which case a ConvergenceError carrying the best
-    estimate is raised.
+    error estimate meets rel_tol*|I| or ``_NODE_BUDGET`` nodes are
+    spent, in which case a ConvergenceError carrying the best estimate
+    is raised.
 
     Returns (value, error_estimate, evaluations).
     """
@@ -218,11 +220,11 @@ def adaptive_gk(f, breaks, rel_tol: float, abs_tol: float = 0.0,
     while True:
         total = fsum(vals)
         total_err = float(np.sum(errs))
-        if total_err <= max(rel_tol * abs(total), abs_tol):
+        if total_err <= rel_tol * abs(total):
             return total, total_err, neval
-        if neval >= node_budget:
+        if neval >= _NODE_BUDGET:
             raise ConvergenceError(
-                f"adaptive quadrature exhausted {node_budget} nodes "
+                f"adaptive quadrature exhausted {_NODE_BUDGET} nodes "
                 f"(error {total_err:.3e} on value {total:.6e})",
                 best_estimate=total, error_estimate=total_err)
         k = min(8, errs.size)

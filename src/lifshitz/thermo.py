@@ -37,34 +37,36 @@ import numpy as np
 
 from .asymptotics import AsymptoticCoefficients, AsymptoticContext, _g_many, pade_delta_f
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN, ZETA3, matsubara_frequency
-from .core import (IdealMetal, PlateSystem, ReflectionModel, TmOnlyIdealMetal,
-                   _gk_integrate, mode_integrals, pressure, zero_mode_integrals)
+from .core import (_KINDS, PlateSystem, ReflectionModel, _gk_integrate, mode_integrals,
+                   pressure, zero_mode_integrals)
 from .dispersion import DrudeModel
 from .errors import PrecisionError, RegimeError
 from .quadrature import euler_maclaurin_endpoint, fsum, gk_panels
 
 _EPS = np.finfo(float).eps
+_M_STAR = 128  # split index M of sum_minus_integral
+_FIT_RESIDUAL_MAX = 0.05  # rms relative residual above which fit_low_temp raises
 
 
-def _t_mesh(m_star: int):
-    """GK15 panel breaks in t = sqrt(u) on [0, sqrt(m_star)].
+def _t_mesh():
+    """GK15 panel breaks in t = sqrt(u) on [0, sqrt(M)], M = ``_M_STAR``.
 
     One panel up to t = 1e-3, 9 geometric panels up to 0.4, then equal
     steps of at most 0.7.
     """
-    top = math.sqrt(m_star)
+    top = math.sqrt(_M_STAR)
     geo = np.geomspace(1e-3, 0.4, 10)
     lin = np.linspace(0.4, top, math.ceil((top - 0.4) / 0.7) + 1)[1:]
     return np.concatenate([[0.0], geo, lin])
 
 
-def sum_minus_integral(h: Callable, m_star: int = 128):
+def sum_minus_integral(h: Callable):
     """sum'_{m>=0} h(m) - Integral_0^inf h(u) du for decaying smooth h.
 
     ``h`` must accept a 1-D float array of u >= 0 and evaluate
     elementwise; it is called exactly once, on the integers 0 .. M + 3
-    (M = ``m_star``) and the GK15 nodes of ``_t_mesh`` (522 values at
-    M = 128). Returns (delta, floor). The floor adds three parts: the
+    (M = ``_M_STAR`` = 128) and the GK15 nodes of ``_t_mesh`` (522
+    values). Returns (delta, floor). The floor adds three parts: the
     cancellation roundoff estimate, eps times the summed magnitudes of
     the terms and of the weighted integrand values; the panels'
     quadrature error in the converged-panel model of the Matsubara rows
@@ -72,20 +74,18 @@ def sum_minus_integral(h: Callable, m_star: int = 128):
     roundoff level already counted; and the bound on the
     Euler-Maclaurin remainder from ``euler_maclaurin_endpoint``.
     """
-    if m_star < 16:
-        raise ValueError(f"m_star must be >= 16, got {m_star}")
-    t_nodes, wk, wg = gk_panels(_t_mesh(m_star))
-    u_int = np.arange(0.0, m_star + 4.0)
+    t_nodes, wk, wg = gk_panels(_t_mesh())
+    u_int = np.arange(0.0, _M_STAR + 4.0)
     values = np.asarray(h(np.concatenate([u_int, t_nodes * t_nodes])), dtype=float)
     hv = values[:u_int.size]
     hq = 2.0 * t_nodes * values[u_int.size:]  # h du = 2 t h dt
 
-    sum_terms = hv[:m_star + 1].copy()
+    sum_terms = hv[:_M_STAR + 1].copy()
     sum_terms[0] *= 0.5
-    sum_terms[m_star] *= 0.5
+    sum_terms[_M_STAR] *= 0.5
     integrand = wk * hq
     # Euler-Maclaurin endpoint corrections at M
-    correction, remainder = euler_maclaurin_endpoint(hv[m_star - 3:m_star + 4], m_star)
+    correction, remainder = euler_maclaurin_endpoint(hv[_M_STAR - 3:_M_STAR + 4], _M_STAR)
     delta = fsum(sum_terms) - fsum(integrand) + correction
 
     noise = _EPS * (np.abs(sum_terms).sum() + np.abs(integrand).sum())
@@ -93,8 +93,7 @@ def sum_minus_integral(h: Callable, m_star: int = 128):
     return delta, noise + quad_err[0] + remainder
 
 
-def delta_f_te_numeric(system: PlateSystem, tol: float = 1e-9,
-                       m_star: int = 128) -> float:
+def delta_f_te_numeric(system: PlateSystem, tol: float = 1e-9) -> float:
     """TE thermal shift F_TE(T) - F_TE(0) in the low-frequency form, J/m^2.
 
     Evaluates (C/beta) [sum' g(m) - int g(u) du] with the expansion
@@ -124,7 +123,7 @@ def delta_f_te_numeric(system: PlateSystem, tol: float = 1e-9,
         out[pos] = _g_many(ctx, u[pos])
         return out
 
-    delta, floor = sum_minus_integral(h, m_star=m_star)
+    delta, floor = sum_minus_integral(h)
     # tol <= 1e-8, so this also holds the |delta| >= 50 floor of the shifts
     if floor > tol * abs(delta):
         raise PrecisionError(
@@ -139,23 +138,19 @@ def delta_f_te_numeric(system: PlateSystem, tol: float = 1e-9,
     return result
 
 
-# kind -> (power of the gap, sign of the prefactor, name in messages)
-_SHIFT_KINDS = {
-    "energy": (2, 1.0, "thermal shift"),
-    "pressure": (3, -1.0, "thermal pressure shift"),
-}
+_SHIFT_NAMES = {"energy": "thermal shift", "pressure": "thermal pressure shift"}
 
 
-def _thermal_shift(system: PlateSystem, kind: str, polarization: str,
-                   m_star: int) -> float:
+def _thermal_shift(system: PlateSystem, kind: str, polarization: str) -> float:
     """sign k T / (8 pi a^power) [sum' h - int h], h(u) = S(zeta_1 u).
 
     S is the reduced integral of ``kind`` ("energy" or "pressure") for
-    the chosen polarization; the m = 0 value is the zero mode.
+    the chosen polarization; the m = 0 value is the zero mode. The
+    power and sign are those of ``core._KINDS``.
     """
     if polarization not in ("both", "tm", "te"):
         raise ValueError(f"polarization must be both/tm/te, got {polarization!r}")
-    power, sign, what = _SHIFT_KINDS[kind]
+    _, power, sign = _KINDS[kind]
     model, gap, temp = system.model, system.gap, system.temperature
     zeta1 = matsubara_frequency(1, temp)
     s0_tm, s0_te, _ = zero_mode_integrals(model, gap, kind)
@@ -170,17 +165,16 @@ def _thermal_shift(system: PlateSystem, kind: str, polarization: str,
         out[~pos] = s0
         return out
 
-    delta, floor = sum_minus_integral(h, m_star=m_star)
+    delta, floor = sum_minus_integral(h)
     if abs(delta) < 50.0 * floor:
         raise PrecisionError(
-            f"{what} {delta:.3e} is below 50 times its error floor {floor:.3e}; "
+            f"{_SHIFT_NAMES[kind]} {delta:.3e} is below 50 times its error floor {floor:.3e}; "
             "temperature too low to resolve")
-    pref = sign * K_BOLTZMANN * temp / (8.0 * math.pi * gap ** power)
+    pref = sign * (K_BOLTZMANN * temp) / (8.0 * math.pi * gap ** power)
     return pref * delta
 
 
-def free_energy_shift(system: PlateSystem, polarization: str = "both",
-                      m_star: int = 128) -> float:
+def free_energy_shift(system: PlateSystem, polarization: str = "both") -> float:
     """F(T) - F(0) with the exact permittivity, J/m^2.
 
     Valid at any temperature where the model is; uses one evaluator for
@@ -188,11 +182,10 @@ def free_energy_shift(system: PlateSystem, polarization: str = "both",
     double precision down to millikelvin temperatures.
     ``polarization`` is "both", "tm", or "te".
     """
-    return _thermal_shift(system, "energy", polarization, m_star)
+    return _thermal_shift(system, "energy", polarization)
 
 
-def pressure_shift(system: PlateSystem, polarization: str = "both",
-                   m_star: int = 128) -> float:
+def pressure_shift(system: PlateSystem, polarization: str = "both") -> float:
     """P(T) - P(0) with the exact permittivity, Pa.
 
     Same sum-minus-integral construction as free_energy_shift, with
@@ -201,7 +194,7 @@ def pressure_shift(system: PlateSystem, polarization: str = "both",
     faster than the free-energy shift (T^4 against T^3 for the TM
     channel of a good metal).
     """
-    return _thermal_shift(system, "pressure", polarization, m_star)
+    return _thermal_shift(system, "pressure", polarization)
 
 
 @dataclass(frozen=True)
@@ -215,7 +208,7 @@ class LowTempFit:
     grid: tuple
 
 
-def fit_low_temp(samples: Sequence, residual_threshold: float = 0.05) -> LowTempFit:
+def fit_low_temp(samples: Sequence) -> LowTempFit:
     """Weighted least-squares fit of the low-temperature shift model.
 
     ``samples`` is a sequence of (T, dF) pairs, at least 8 of them,
@@ -256,10 +249,10 @@ def fit_low_temp(samples: Sequence, residual_threshold: float = 0.05) -> LowTemp
     d3 = c6 / (d1 * t_max ** 3)
     model = basis @ coeff
     residual_norm = float(np.sqrt(np.mean(((model - df) / df) ** 2)))
-    if residual_norm > residual_threshold:
+    if residual_norm > _FIT_RESIDUAL_MAX:
         raise PrecisionError(
             f"fit residual {residual_norm:.3e} exceeds threshold "
-            f"{residual_threshold:.3e}")
+            f"{_FIT_RESIDUAL_MAX:.3e}")
     return LowTempFit(d1=float(d1), d2=float(d2), d3=float(d3),
                       residual_norm=residual_norm, grid=tuple(pts))
 
@@ -331,17 +324,15 @@ def r_series(coeffs: AsymptoticCoefficients, numeric: Callable,
                    correlation=corr)
 
 
-def entropy(system: PlateSystem, temperature: float | None = None,
-            tol: float = 1e-9, m_star: int = 128) -> float:
-    """Entropy per unit area S = -dF/dT, J/(m^2 K).
+def entropy(system: PlateSystem, tol: float = 1e-9) -> float:
+    """Entropy per unit area S = -dF/dT at ``system.temperature``, J/(m^2 K).
 
     Differentiates the thermal shift F(T) - F(0) (the T = 0 part drops
     out of the derivative), with a Richardson-extrapolated central
-    difference at step h = max(T/10, 1e-4 K).
+    difference at step h = max(T/10, 1e-4 K). ``tol`` is not applied
+    yet: the shifts hold their own 50-floor rule.
     """
-    t0 = system.temperature if temperature is None else float(temperature)
-    if not t0 > 0.0:
-        raise ValueError(f"temperature must be > 0 K, got {t0}")
+    t0 = system.temperature
     h = max(t0 / 10.0, 1e-4)
     if t0 - h <= 0.0:
         raise ValueError(
@@ -349,7 +340,7 @@ def entropy(system: PlateSystem, temperature: float | None = None,
 
     def shift_at(t):
         sys_t = PlateSystem(gap=system.gap, temperature=t, model=system.model)
-        return free_energy_shift(sys_t, m_star=m_star)
+        return free_energy_shift(sys_t)
 
     def central(step):
         return (shift_at(t0 + step) - shift_at(t0 - step)) / (2.0 * step)
@@ -371,8 +362,7 @@ def classical_pressure(gap: float, temperature: float) -> float:
 
 
 def classical_limit_check(gap: float, temperature: float,
-                          model: ReflectionModel | None = None,
-                          tol: float = 1e-9) -> float:
+                          model: ReflectionModel | None = None) -> float:
     """Ratio of the computed pressure to the classical Drude limit.
 
     Requires the deep classical regime 2 pi k T a / (hbar c) >= 5. For
@@ -388,5 +378,5 @@ def classical_limit_check(gap: float, temperature: float,
     from .dispersion import GOLD
     system = PlateSystem(gap=gap, temperature=temperature,
                          model=GOLD if model is None else model)
-    p = pressure(system, tol=tol)
+    p = pressure(system, tol=1e-9)
     return p.pressure / classical_pressure(gap, temperature)

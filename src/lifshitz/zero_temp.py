@@ -87,6 +87,6 @@ def free_energy_T0(gap: float, model: ReflectionModel, tol: float = 1e-8) -> Zer
 
 def ideal_metal_T0(gap: float) -> float:
     """Closed form -pi^2 hbar c / 720 a^3 for perfectly reflecting plates."""
-    if not gap > 0.0:
-        raise ValueError(f"gap must be > 0 m, got {gap}")
+    if not (gap > 0.0 and math.isfinite(gap)):
+        raise ValueError(f"gap must be finite and > 0 m, got {gap}")
     return -math.pi ** 2 * HBAR * C_LIGHT / (720.0 * gap ** 3)

@@ -142,6 +142,24 @@ class TestPade:
             assert abs(s) <= 3.0 * self.co.c1 * t
 
 
+_CONTEXT_ARGS = {"omega_p": GOLD.omega_p, "nu": GOLD.nu, "gap": 1e-6, "temperature": 0.01}
+_NON_FINITE_CALLS = {
+    "coefficients": lambda x: coefficients(GOLD, x),
+    "delta_f_te_leading": lambda x: delta_f_te_leading(GOLD, x),
+    "pade_delta_f": lambda x: pade_delta_f(coefficients(GOLD, 1e-6), x),
+    **{f"context_{name}": (lambda x, name=name:
+                           AsymptoticContext(**dict(_CONTEXT_ARGS, **{name: x})))
+       for name in _CONTEXT_ARGS},
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("name", sorted(_NON_FINITE_CALLS))
+def test_non_finite_input_rejected(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        _NON_FINITE_CALLS[name](value)
+
+
 def test_slope_constant_gives_the_quadratic_coefficient():
     # -g'(0)/12, the leading Euler-Maclaurin term of sum' g - int g,
     # is the (2 ln 2 - 1)/48 bracket of c1

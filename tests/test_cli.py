@@ -218,6 +218,14 @@ class TestFailureModes:
         assert rc == 1
         assert "drude" in err
 
+    @pytest.mark.parametrize("args", [("--gap", "inf"), ("--gap", "1e-6", "--temp", "nan")],
+                             ids=["gap_inf", "temp_nan"])
+    def test_asymptotics_rejects_non_finite_input(self, capsys, args):
+        rc, out, err = run_cli(capsys, "asymptotics", *args)
+        assert rc == 1
+        assert out == ""
+        assert "finite" in err
+
     def test_sweep_partial_flush(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         rc, _, err = run_cli(capsys, "sweep", "--gap", "1e-6",

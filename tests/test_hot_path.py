@@ -290,7 +290,7 @@ _DENSE_OFFSETS = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 201),
                          ids=["drude", "plasma", "lossy", "eps1.5", "eps3", "ideal"])
 @pytest.mark.parametrize("kind", ["energy", "pressure"])
 def test_lean_rows_match_a_dense_mesh(model, estimate_bound, kind):
-    kernel = core._KERNELS[kind]
+    kernel = core._KINDS[kind][0]
     y0s = np.geomspace(core._LEAN_Y0 * (1.0 + 1e-12), 100.0, 12)
     for gap in (0.1e-6, 1e-6, 10e-6):
         zetas = y0s * C_LIGHT / (2.0 * gap)

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from lifshitz.constants import C_LIGHT
 from lifshitz.core import (IdealMetal, PlateSystem, TmOnlyIdealMetal, _log_reflection,
-                           coefficient_surface, free_energy, reflection_coefficients,
-                           zero_mode_coefficients, zero_mode_integrals)
-from lifshitz.dispersion import (GOLD, ConstantPermittivity, DrudeModel,
-                                 PlasmaModel, TabulatedPermittivity)
+                           coefficient_surface, free_energy, pressure,
+                           reflection_coefficients, zero_mode_coefficients,
+                           zero_mode_integrals)
+from lifshitz.dispersion import (GOLD, ConstantPermittivity, PlasmaModel,
+                                 TabulatedPermittivity)
+from lifshitz.thermo import free_energy_shift
+from lifshitz.zero_temp import free_energy_T0
 
 _TABLE_ZETA = np.geomspace(1e13, 1e17, 100)
 
@@ -175,6 +178,28 @@ class TestZeroMode:
     def test_model_without_a_zero_mode_fails_at_once(self):
         with pytest.raises(AttributeError, match="zero_mode_log_reflection"):
             free_energy(PlateSystem(1e-6, 300.0, object()))
+
+    def test_the_two_protocol_methods_make_a_material(self):
+        class BareDrude:
+            """Only the two methods the library calls, with Drude's formulas."""
+
+            def eps_minus_one(self, zeta):
+                z = np.asarray(zeta, dtype=float)
+                return GOLD.omega_p ** 2 / (z * (z + GOLD.nu))
+
+            def zero_mode_log_reflection(self, q):
+                return np.zeros_like(q), None
+
+        def fields(res):
+            return (res.te_part, res.tm_part, res.m_max, res.tail_estimate)
+
+        for t in (1.0, 300.0):  # Euler-Maclaurin tail, direct sum
+            bare, gold = PlateSystem(1e-6, t, BareDrude()), PlateSystem(1e-6, t, GOLD)
+            assert fields(free_energy(bare)) == fields(free_energy(gold))
+            assert fields(pressure(bare)) == fields(pressure(gold))
+        assert free_energy_T0(1e-6, BareDrude()) == free_energy_T0(1e-6, GOLD)
+        assert (free_energy_shift(PlateSystem(1e-6, 0.05, BareDrude()))
+                == free_energy_shift(PlateSystem(1e-6, 0.05, GOLD)))
 
 
 class TestValidation:

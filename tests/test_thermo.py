@@ -48,14 +48,12 @@ class TestSumMinusIntegral:
         exact = math.pi ** 2 / 6.0 - 0.5 - 1.0
         assert abs(delta - exact) < 1e-9
 
-    def test_split_index_invariance(self):
-        results = [sum_minus_integral(lambda u: 1.0 / (1.0 + u) ** 2, m_star=m)[0]
-                   for m in (64, 128, 256)]
+    def test_split_index_invariance(self, monkeypatch):
+        results = []
+        for m in (64, 128, 256):
+            monkeypatch.setattr(thermo, "_M_STAR", m)
+            results.append(sum_minus_integral(lambda u: 1.0 / (1.0 + u) ** 2)[0])
         assert max(results) - min(results) < 1e-9
-
-    def test_rejects_tiny_split(self):
-        with pytest.raises(ValueError):
-            sum_minus_integral(lambda u: u, m_star=8)
 
     def test_floor_counts_the_quadrature_error(self):
         # e^{-u} cos(5u) oscillates about twice per t panel near t = 3:
@@ -122,8 +120,9 @@ def test_floor_bounds_the_error_on_a_gaussian(s):
     assert abs(delta - exact) <= floor
 
 
-def _dense_sum_minus_integral(h, m_star=128):
+def _dense_sum_minus_integral(h):
     """Dense reference engine: 51 Gauss-Legendre panels of 20 nodes in t."""
+    m_star = thermo._M_STAR
     top = math.sqrt(m_star)
     breaks = np.concatenate([[0.0], np.geomspace(1e-3, 0.4, 19),
                              np.arange(0.75, top, 0.35), [top]])
@@ -158,8 +157,8 @@ def _brackets(call, dense):
     engine = _dense_sum_minus_integral if dense else sum_minus_integral
     seen = []
 
-    def spy(h, m_star=128):
-        seen.append(engine(h, m_star=m_star))
+    def spy(h):
+        seen.append(engine(h))
         return seen[-1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -223,9 +222,11 @@ class TestDeltaFTeNumeric:
         ratio = val / (GOLD_COEFFS.c1 * t ** 2)
         assert 0.4 < ratio < 0.7
 
-    def test_split_index_invariance(self):
-        vals = [delta_f_te_numeric(PlateSystem(1e-6, 0.01, GOLD), m_star=m)
-                for m in (96, 128, 192)]
+    def test_split_index_invariance(self, monkeypatch):
+        vals = []
+        for m in (96, 128, 192):
+            monkeypatch.setattr(thermo, "_M_STAR", m)
+            vals.append(delta_f_te_numeric(PlateSystem(1e-6, 0.01, GOLD)))
         assert (max(vals) - min(vals)) / vals[1] < 1e-8
 
     def test_agrees_with_exact_permittivity_shift(self):
@@ -240,8 +241,8 @@ class TestDeltaFTeNumeric:
         system = PlateSystem(0.2e-6, 0.002, GOLD)
         seen = []
 
-        def spy(h, m_star=128):
-            seen.append(sum_minus_integral(h, m_star=m_star))
+        def spy(h):
+            seen.append(sum_minus_integral(h))
             return seen[-1]
 
         monkeypatch.setattr(thermo, "sum_minus_integral", spy)
@@ -436,11 +437,6 @@ class TestEntropy:
             assert 0.9 * GOLD_COEFFS.c1 * t < abs(s) < 6.0 * GOLD_COEFFS.c1 * t
         assert abs(vals[2]) < abs(vals[1]) < abs(vals[0])
 
-    def test_temperature_override(self):
-        base = PlateSystem(1e-6, 300.0, GOLD)
-        direct = entropy(PlateSystem(1e-6, 0.01, GOLD))
-        assert entropy(base, temperature=0.01) == pytest.approx(direct, rel=1e-10)
-
     def test_classical_limit(self):
         # deep classical regime: F -> -zeta(3) k T /(16 pi a^2), so the
         # entropy saturates at its a-dependent classical value
@@ -450,7 +446,7 @@ class TestEntropy:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            entropy(PlateSystem(1e-6, 300.0, GOLD), temperature=5e-5)
+            entropy(PlateSystem(1e-6, 5e-5, GOLD))
 
 
 class TestClassicalLimit:

@@ -74,6 +74,12 @@ def test_budget_exhaustion_carries_estimate():
     assert 0.0 < err.value.error_estimate < 1e-8 * abs(err.value.best_estimate)
 
 
+@pytest.mark.parametrize("gap", [math.inf, math.nan], ids=["inf", "nan"])
+def test_ideal_metal_rejects_non_finite_gap(gap):
+    with pytest.raises(ValueError, match="finite"):
+        ideal_metal_T0(gap)
+
+
 def test_invalid_args():
     for gap in (-1e-6, math.inf, math.nan):
         with pytest.raises(ValueError):
