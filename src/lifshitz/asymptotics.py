@@ -92,8 +92,8 @@ class AsymptoticCoefficients:
     c2: float
 
     def __post_init__(self):
-        if not (self.c1 > 0.0 and self.c2 > 0.0):
-            raise ValueError(f"coefficients must be positive, got {self}")
+        if not all(c > 0.0 and math.isfinite(c) for c in (self.c1, self.c2)):
+            raise ValueError(f"coefficients must be finite and > 0, got {self}")
 
 
 def _g_many(ctx: AsymptoticContext, m):

@@ -367,25 +367,20 @@ def zero_mode_integrals(model: ReflectionModel, gap: float, kind: str = "energy"
 
 
 def _refine_mode(model, gap, zeta, kind, rel_tol):
-    """Scalar fallback: adaptively re-integrate one Matsubara term."""
+    """Scalar fallback: adaptively re-integrate one Matsubara term.
+
+    Returns (s_tm, s_te); a channel with R identically 0 integrates to 0.
+    """
     kernel = _KINDS[kind][0]
     y0 = 2.0 * gap * zeta / C_LIGHT
     breaks = y0 + _Y_OFFSETS
 
-    def f_pol(pol):
+    def integrate(pol):
         def f(y):
-            p = np.maximum(y / y0, 1.0)
-            ln_a, ln_b = _log_reflection(model, zeta, p)
-            ln_r = ln_a if pol == "tm" else ln_b
-            return kernel(y, ln_r)
-        return f
+            return kernel(y, _log_reflection(model, zeta, np.maximum(y / y0, 1.0))[pol])
+        return adaptive_gk(f, breaks, rel_tol)[0]
 
-    s_tm, e_tm, _ = adaptive_gk(f_pol("tm"), breaks, rel_tol)
-    _, ln_b_probe = _log_reflection(model, zeta, np.array([2.0]))
-    if ln_b_probe is None:
-        return s_tm, 0.0, e_tm, 0.0
-    s_te, e_te, _ = adaptive_gk(f_pol("te"), breaks, rel_tol)
-    return s_tm, s_te, e_tm, e_te
+    return integrate(0), integrate(1)
 
 
 def _first(mask) -> int:
@@ -549,36 +544,39 @@ def _block_ends(predicted: int):
 def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
     """Shared sum driver for free energy and pressure.
 
-    Returns (terms_tm, terms_te, term_errors, last_m, tail, (tail_tm,
-    tail_te)) in reduced S units; prefactors are applied by the
-    callers. The terms are the explicit ones, m = 0 .. last_m.
+    Returns (terms_tm, terms_te, last_m, tail, (tail_tm, tail_te)) in
+    reduced S units; prefactors are applied by the callers. The terms
+    are the explicit ones, m = 0 .. last_m.
 
-    Blocks of terms, sized by ``_block_ends``, are decided as arrays:
-    the running sum is a cumsum seeded with the sum so far (sequential,
-    so it equals term-by-term accumulation, and no value depends on
-    where blocks end), and the first row that needs refinement, stops
-    the sum or is not finite decides what happens. A sum stops at a
-    term smaller than the one before, or at one that underflowed to
-    exactly 0, when the term and the geometric
-    tail it implies are both below tol |sum| / 10; it then has a zero
-    (tail_tm, tail_te) and ``tail`` is that geometric tail. A sum still
-    running at the end M + 3 of a rung's block (every rung of _EM_RUNGS
-    when the prediction passes _EM_SWITCH, else only the top one), with
-    m_max that far, tries the Euler-Maclaurin tail at M: if it meets
-    tol, the sum ends at last_m = M with the tail in (tail_tm, tail_te)
-    and its error estimate as ``tail``; if not, the direct sum goes on.
-    ``tail`` carries the sign of the terms. A sum that reaches ``m_max``
-    raises ConvergenceError with the geometric tail of its last two
-    terms as the error estimate.
+    Each block of terms, sized by ``_block_ends``, is decided in one
+    pass. First every row whose error estimate misses tol / 10 of its
+    value (floored at 1e-4 of the running sum before it) is refined by
+    ``_refine_mode``; a refined row changes only the running sums at and
+    after it, so no decision before it moves. Then the running sum is a
+    cumsum seeded with the sum so far (sequential, so it equals
+    term-by-term accumulation, and no value depends on where blocks
+    end), and the first row that stops the sum or is not finite decides
+    what happens. A sum stops at a term smaller than the one before, or
+    at one that underflowed to exactly 0, when the term and the
+    geometric tail it implies are both below tol |sum| / 10; it then has
+    a zero (tail_tm, tail_te) and ``tail`` is that geometric tail. A sum
+    still running at the end M + 3 of a rung's block (every rung of
+    _EM_RUNGS when the prediction passes _EM_SWITCH, else only the top
+    one), with m_max that far, tries the Euler-Maclaurin tail at M: if
+    it meets tol, the sum ends at last_m = M with the tail in (tail_tm,
+    tail_te) and its error estimate as ``tail``; if not, the direct sum
+    goes on. ``tail`` carries the sign of the terms. A sum that reaches
+    ``m_max`` raises ConvergenceError with the geometric tail of its
+    last term as the error estimate (infinite if that term did not fall).
     """
     model, a, temp = system.model, system.gap, system.temperature
     quad_tol = tol / 10.0
-    s0_tm, s0_te, e0 = zero_mode_integrals(model, a, kind)
-    kept = [(np.array([0.5 * s0_tm]), np.array([0.5 * s0_te]), np.array([0.5 * e0]))]
-    acc = 0.5 * (s0_tm + s0_te)
+    s0_tm, s0_te, _ = zero_mode_integrals(model, a, kind)
+    kept = [(np.array([0.5 * s0_tm]), np.array([0.5 * s0_te]))]
+    acc = prev_total = 0.5 * (s0_tm + s0_te)
     if not math.isfinite(acc):
         _raise_non_finite([], "term m = 0")
-    prev_total = math.inf  # the stop rule needs m > 5, so this never decides
+    last_tail = math.inf
     m_next = 1
     zeta1 = matsubara_frequency(1, temp)
     predicted = _predicted_stop(2.0 * a * zeta1 / C_LIGHT, tol)
@@ -589,78 +587,54 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
         ms = np.arange(m_next, min(next(ends), m_max) + 1)
         s_tm, s_te, e_tm, e_te = mode_integrals(model, a, zeta1 * ms, kind)
         totals = s_tm + s_te
-        errs = e_tm + e_te
-        checked = 0  # rows before this index are refined or accepted
-        while True:
-            running = np.cumsum(np.concatenate(([acc], totals)))
-            before, after = running[:-1], running[1:]
-            prevs = np.concatenate(([prev_total], totals[:-1]))
-            mags = np.abs(totals)
-            refine = errs > quad_tol * np.maximum(mags, 1e-4 * np.abs(before))
-            refine[:checked] = False
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = mags / np.abs(prevs)
-                tails = np.where(mags > 0.0, mags * ratios / (1.0 - ratios), 0.0)
-            # a term that underflowed to 0 stops the sum too: 0 < 0 fails
-            falling = (mags < np.abs(prevs)) | (mags == 0.0)
-            stop = ((ms > 5) & falling
-                    & (np.maximum(mags, tails) < tol * np.abs(after) / 10.0))
-            i_ref, i_stop = _first(refine), _first(stop)
-            i_bad = _first(~np.isfinite(totals))
-            if i_ref < ms.size and i_ref <= min(i_stop, i_bad):
-                r_tm, r_te, r_etm, r_ete = _refine_mode(
-                    model, a, float(zeta1 * ms[i_ref]), kind, quad_tol)
-                s_tm[i_ref], s_te[i_ref] = r_tm, r_te
-                totals[i_ref] = r_tm + r_te
-                errs[i_ref] = r_etm + r_ete
-                checked = i_ref + 1
-                continue
-            if i_bad < i_stop:
-                kept.append((s_tm[:i_bad], s_te[:i_bad], errs[:i_bad]))
-                _raise_non_finite(kept, f"term m = {ms[i_bad]}")
-            if i_stop < ms.size:
-                kept.append((s_tm[:i_stop + 1], s_te[:i_stop + 1], errs[:i_stop + 1]))
-                terms_tm, terms_te, errors = (np.concatenate(c) for c in zip(*kept))
-                return (terms_tm, terms_te, errors, int(ms[i_stop]),
-                        math.copysign(tails[i_stop], totals[i_stop]), (0.0, 0.0))
-            break
+        before = np.cumsum(np.concatenate(([acc], totals)))[:-1]
+        refine = e_tm + e_te > quad_tol * np.maximum(np.abs(totals), 1e-4 * np.abs(before))
+        for i in np.flatnonzero(refine):
+            s_tm[i], s_te[i] = _refine_mode(model, a, float(zeta1 * ms[i]), kind, quad_tol)
+        totals = s_tm + s_te
+        after = np.cumsum(np.concatenate(([acc], totals)))[1:]
+        prevs = np.concatenate(([prev_total], totals[:-1]))
+        mags = np.abs(totals)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = mags / np.abs(prevs)
+            tails = np.where(mags > 0.0, mags * ratios / (1.0 - ratios), 0.0)
+        # a term that underflowed to 0 stops the sum too: 0 < 0 fails
+        falling = (mags < np.abs(prevs)) | (mags == 0.0)
+        stop = ((ms > 5) & falling
+                & (np.maximum(mags, tails) < tol * np.abs(after) / 10.0))
+        i_stop, i_bad = _first(stop), _first(~np.isfinite(totals))
+        if i_bad < i_stop:
+            kept.append((s_tm[:i_bad], s_te[:i_bad]))
+            _raise_non_finite(kept, f"term m = {ms[i_bad]}")
+        if i_stop < ms.size:
+            kept.append((s_tm[:i_stop + 1], s_te[:i_stop + 1]))
+            terms_tm, terms_te = (np.concatenate(c) for c in zip(*kept))
+            return (terms_tm, terms_te, int(ms[i_stop]),
+                    math.copysign(tails[i_stop], totals[i_stop]), (0.0, 0.0))
         big_m = int(ms[-1]) - 3
         if big_m in rungs:
             i = big_m - int(ms[0])  # row of M in this block
-            head = kept + [(s_tm[:i + 1], s_te[:i + 1], errs[:i + 1])]
+            head = kept + [(s_tm[:i + 1], s_te[:i + 1])]
             em = _em_tail(model, a, zeta1, kind, tol, big_m, s_tm[i - 3:i + 4],
                           s_te[i - 3:i + 4], after[i], head)
             if em is not None:
                 tail_tm, tail_te, error = em
-                terms_tm, terms_te, errors = (np.concatenate(c) for c in zip(*head))
-                return (terms_tm, terms_te, errors, big_m,
+                terms_tm, terms_te = (np.concatenate(c) for c in zip(*head))
+                return (terms_tm, terms_te, big_m,
                         math.copysign(error, totals[i]), (tail_tm, tail_te))
-        kept.append((s_tm, s_te, errs))
-        acc = after[-1]
-        prev_total = totals[-1]
-        m_next = int(ms[-1]) + 1
+        kept.append((s_tm, s_te))
+        acc, prev_total, m_next = after[-1], totals[-1], int(ms[-1]) + 1
+        last_tail = tails[-1] if mags[-1] < abs(prevs[-1]) else math.inf
 
     raise ConvergenceError(
         f"Matsubara sum not converged after m = {m_max}",
-        best_estimate=_partial_sum(kept), error_estimate=_geometric_tail(kept))
-
-
-def _geometric_tail(kept) -> float:
-    """|t| r / (1 - r) from the last two kept terms, r = |t / t_prev|; inf if r >= 1."""
-    totals = np.concatenate([tm + te for tm, te, _ in kept])
-    if totals.size < 2:
-        return math.inf
-    last, prev = abs(totals[-1]), abs(totals[-2])
-    if not last < prev:
-        return math.inf
-    ratio = last / prev
-    return last * ratio / (1.0 - ratio)
+        best_estimate=_partial_sum(kept), error_estimate=last_tail)
 
 
 def _partial_sum(kept) -> float:
     if not kept:
         return 0.0
-    terms_tm, terms_te, _ = zip(*kept)
+    terms_tm, terms_te = zip(*kept)
     return fsum(np.concatenate(terms_tm)) + fsum(np.concatenate(terms_te))
 
 
@@ -682,7 +656,7 @@ def _thermal_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
     _, power, sign = _KINDS[kind]
     pref = sign * (K_BOLTZMANN * system.temperature) / (8.0 * math.pi * system.gap ** power)
     try:
-        terms_tm, terms_te, _, last_m, tail, (tail_tm, tail_te) = _matsubara_sum(
+        terms_tm, terms_te, last_m, tail, (tail_tm, tail_te) = _matsubara_sum(
             system, kind, tol, m_max)
     except ConvergenceError as exc:
         raise ConvergenceError(str(exc), best_estimate=pref * exc.best_estimate,
@@ -737,14 +711,11 @@ def coefficient_surface(model: ReflectionModel, zeta_grid, kperp_grid) -> Coeffi
     kperp_grid = np.atleast_1d(np.asarray(kperp_grid, dtype=float))
     if np.any(zeta_grid <= 0.0) or np.any(kperp_grid <= 0.0):
         raise ValueError("grids must be positive")
-    a_tm = np.full((zeta_grid.size, kperp_grid.size), np.nan)
-    b_te = np.full_like(a_tm, np.nan)
-    for i, zeta in enumerate(zeta_grid):
-        valid = kperp_grid * C_LIGHT >= zeta
-        if not np.any(valid):
-            continue
-        pair = reflection_coefficients(model, zeta, kperp_grid[valid])
-        a_tm[i, valid] = pair.a_tm
-        b_te[i, valid] = pair.b_te
+    valid = kperp_grid * C_LIGHT >= zeta_grid[:, None]
+    a_tm, b_te = np.full(valid.shape, np.nan), np.full(valid.shape, np.nan)
+    if valid.any():
+        i, j = np.nonzero(valid)
+        pair = reflection_coefficients(model, zeta_grid[i], kperp_grid[j])
+        a_tm[valid], b_te[valid] = pair.a_tm, pair.b_te
     return CoefficientSurface(zeta=zeta_grid, kperp=kperp_grid,
                               a_tm=a_tm, b_te=b_te)

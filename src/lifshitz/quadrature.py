@@ -89,27 +89,26 @@ def _leggauss(n: int):
     return x, w
 
 
-def _panel_nodes(breaks: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Map reference nodes/weights onto consecutive panels.
+def _panel_nodes(breaks: np.ndarray, x: np.ndarray, *weight_sets: np.ndarray):
+    """Map reference nodes and each weight set onto consecutive panels.
 
-    breaks: (..., P+1) -> nodes, weights with shape (..., P*n).
+    breaks: (..., P+1) -> nodes, then one weight array per set, each
+    with shape (..., P*n).
     """
     breaks = np.asarray(breaks, dtype=float)
     lo = breaks[..., :-1]
     hi = breaks[..., 1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    nodes = mid[..., :, None] + half[..., :, None] * x
-    weights = half[..., :, None] * w
     shape = breaks.shape[:-1] + (-1,)
-    return nodes.reshape(shape), weights.reshape(shape)
+    nodes = mid[..., :, None] + half[..., :, None] * x
+    return (nodes.reshape(shape),
+            *((half[..., :, None] * w).reshape(shape) for w in weight_sets))
 
 
 def gk_panels(breaks: np.ndarray):
     """Gauss-Kronrod nodes plus both weight sets over panel meshes."""
-    nodes, wk = _panel_nodes(breaks, _GK15_X, _GK15_WK)
-    _, wg = _panel_nodes(breaks, _GK15_X, _G7_W)
-    return nodes, wk, wg
+    return _panel_nodes(breaks, _GK15_X, _GK15_WK, _G7_W)
 
 
 def gl_panels(breaks: np.ndarray, n: int = 16):
@@ -206,9 +205,7 @@ def adaptive_gk(f, breaks, rel_tol: float):
     hi = breaks[1:].copy()
 
     def eval_panels(plo, phi):
-        edges = np.stack([plo, phi], axis=-1)
-        nodes, wk = _panel_nodes(edges, _GK15_X, _GK15_WK)
-        _, wg = _panel_nodes(edges, _GK15_X, _G7_W)
+        nodes, wk, wg = gk_panels(np.stack([plo, phi], axis=-1))
         vals = f(nodes.ravel()).reshape(nodes.shape)
         v = np.sum(vals * wk, axis=-1)
         e = np.abs(v - np.sum(vals * wg, axis=-1))

@@ -212,7 +212,8 @@ def fit_low_temp(samples: Sequence) -> LowTempFit:
     """Weighted least-squares fit of the low-temperature shift model.
 
     ``samples`` is a sequence of (T, dF) pairs, at least 8 of them,
-    strictly increasing in T and spanning at least a decade. The fit
+    with finite dF, strictly increasing in T and spanning at least a
+    decade. The fit
     runs in tau = sqrt(T / T_max), where the basis {tau^4, tau^5,
     tau^6} is mildly conditioned. Rows are weighted by 1/T^2 beyond
     the 1/T^2 that equalizes relative residuals: the extra emphasis on
@@ -224,6 +225,8 @@ def fit_low_temp(samples: Sequence) -> LowTempFit:
         raise ValueError(f"need at least 8 samples, got {len(pts)}")
     t = np.array([p[0] for p in pts])
     df = np.array([p[1] for p in pts])
+    if not np.all(np.isfinite(df)):
+        raise ValueError(f"dF is not finite at T = {t[np.argmin(np.isfinite(df))]} K")
     if not np.all(np.diff(t) > 0.0):
         raise ValueError("sample temperatures must be strictly increasing")
     if t[-1] / t[0] < 10.0:
@@ -289,10 +292,11 @@ def r_series(coeffs: AsymptoticCoefficients, numeric: Callable,
              t_grid) -> RSeries:
     """R(T) = (dF_pade - dF_numeric) / dF_pade on a temperature grid.
 
-    ``numeric`` maps T to the numeric shift. A straight line is fitted
-    on the lowest decade of the grid; a vanishing intercept with linear
-    growth is the signature that the T^2 coefficient is exact and the
-    first neglected term is O(T).
+    ``numeric`` maps T to the numeric shift; a T where R is not finite
+    raises ValueError. A straight line is fitted on the lowest decade of
+    the grid; a vanishing intercept with linear growth is the signature
+    that the T^2 coefficient is exact and the first neglected term is
+    O(T).
     """
     t = np.sort(np.asarray(t_grid, dtype=float))
     if t.size < 4:
@@ -303,6 +307,8 @@ def r_series(coeffs: AsymptoticCoefficients, numeric: Callable,
     for i, ti in enumerate(t):
         th = pade_delta_f(coeffs, float(ti))
         r_vals[i] = (th - float(numeric(float(ti)))) / th
+        if not math.isfinite(r_vals[i]):
+            raise ValueError(f"R is not finite at T = {ti} K")
     window = t <= 10.0 * t[0]
     tw, rw = t[window], r_vals[window]
     if tw.size < 3:

@@ -145,6 +145,9 @@ class TestPade:
 _CONTEXT_ARGS = {"omega_p": GOLD.omega_p, "nu": GOLD.nu, "gap": 1e-6, "temperature": 0.01}
 _NON_FINITE_CALLS = {
     "coefficients": lambda x: coefficients(GOLD, x),
+    # built directly, c1 = inf would give an infinite pade_delta_f and c2 = inf a zero one
+    "coefficients_c1": lambda x: AsymptoticCoefficients(x, 3.0),
+    "coefficients_c2": lambda x: AsymptoticCoefficients(5.8e-13, x),
     "delta_f_te_leading": lambda x: delta_f_te_leading(GOLD, x),
     "pade_delta_f": lambda x: pade_delta_f(coefficients(GOLD, 1e-6), x),
     **{f"context_{name}": (lambda x, name=name:

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from lifshitz import core, quadrature, thermo
 from lifshitz.constants import C_LIGHT, K_BOLTZMANN, ZETA3, ev_to_rad_per_s, matsubara_frequency
-from lifshitz.core import (IdealMetal, PlateSystem, free_energy, mode_integrals,
-                           pressure, zero_mode_integrals)
+from lifshitz.core import (IdealMetal, PlateSystem, TmOnlyIdealMetal, free_energy,
+                           mode_integrals, pressure, zero_mode_integrals)
 from lifshitz.dispersion import (GOLD, ConstantPermittivity, DrudeModel, PlasmaModel,
                                  TabulatedPermittivity)
 from lifshitz.errors import ConvergenceError
@@ -485,8 +485,10 @@ def test_free_energy_terms_are_a_read_only_array():
         res.terms[0] = 0.0
 
 
-def test_flagged_row_is_refined_alone(monkeypatch):
-    system = PlateSystem(1e-6, 1.0, GOLD)
+@pytest.mark.parametrize("model", [GOLD, TmOnlyIdealMetal()], ids=["drude", "tm-only"])
+def test_flagged_row_is_refined_alone(model, monkeypatch):
+    # the TM-only model has no TE channel: its refined TE part is 0
+    system = PlateSystem(1e-6, 1.0, model)
     reference = free_energy(system, tol=1e-6)
     real_gk, real_refine = core._gk_integrate, core._refine_mode
     state = {"blocks": 0}
@@ -511,6 +513,8 @@ def test_flagged_row_is_refined_alone(monkeypatch):
     assert refined == [float(matsubara_frequency(1, 1.0) * 11)]
     assert res.m_max == reference.m_max
     assert res.total == pytest.approx(reference.total, rel=1e-6)
+    if isinstance(model, TmOnlyIdealMetal):
+        assert res.te_part == 0.0
 
 
 def test_non_finite_term_stops_the_sum(monkeypatch):

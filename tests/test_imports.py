@@ -1,4 +1,4 @@
-"""No module of the package imports a name it does not use."""
+"""No module of the package imports a name it does not use or keeps a dead private one."""
 
 import ast
 from pathlib import Path
@@ -33,3 +33,39 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: list) -> list:
+    """Module-level private functions, classes and constants no module reads.
+
+    A read is an ``ast.Name`` in load context or an ``ast.Attribute``
+    anywhere in ``sources``; dunder names such as ``__all__`` are skipped.
+    """
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(name for name in defined - read
+                  if name.startswith("_") and not name.endswith("__"))
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = ["def _dead():\n    pass\n\ndef _live():\n    pass\n\n"
+               "class _Unused:\n    pass\n\n_STALE = 1\n_STALE = 2\n_READ = 3\n"
+               "__all__ = []\npublic = _live\n",
+               "import m\nprint(m._READ)\n"]
+    assert unread_private_names(sources) == ["_STALE", "_Unused", "_dead"]
+
+
+def test_no_unread_private_name():
+    assert unread_private_names([p.read_text() for p in sorted(_PACKAGE.glob("*.py"))]) == []

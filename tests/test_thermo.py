@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -371,6 +372,14 @@ class TestFitLowTemp:
         with pytest.raises(ValueError):
             fit_low_temp(hot)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        grid = np.geomspace(2e-3, 6e-2, 12)
+        samples = [(float(t), GOLD_COEFFS.c1 * float(t) ** 2) for t in grid]
+        samples[5] = (samples[5][0], bad)
+        with pytest.raises(ValueError, match=re.escape(f"not finite at T = {grid[5]} K")):
+            fit_low_temp(samples)
+
     def test_sign_flip_rejected(self):
         grid = np.geomspace(2e-3, 6e-2, 12)
         samples = [(float(t), -GOLD_COEFFS.c1 * float(t) ** 2) for t in grid]
@@ -426,6 +435,16 @@ class TestRSeries:
         with pytest.raises(ValueError):
             r_series(GOLD_COEFFS, lambda t: pade_delta_f(GOLD_COEFFS, t),
                      [-0.01, 0.01, 0.02, 0.04])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numeric_rejected(self, bad):
+        grid = default_fit_grid()
+
+        def numeric(t):
+            return bad if t >= grid[3] else pade_delta_f(GOLD_COEFFS, t)
+
+        with pytest.raises(ValueError, match=re.escape(f"not finite at T = {grid[3]} K")):
+            r_series(GOLD_COEFFS, numeric, grid)
 
 
 class TestEntropy:
