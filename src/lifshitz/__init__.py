@@ -9,9 +9,9 @@ from .core import (CoefficientSurface, FreeEnergyResult, IdealMetal,
 from .dispersion import (GOLD, GOLD_NU_EV, GOLD_OMEGA_P_EV,
                          ConstantPermittivity, DrudeModel, PlasmaModel,
                          TabulatedPermittivity, load_permittivity_table)
-from .asymptotics import (AsymptoticCoefficients, AsymptoticContext,
-                          coefficients, delta_f_te_leading, g_slope_at_zero,
-                          pade_delta_f, te_slope_integral)
+from .asymptotics import (AsymptoticCoefficients, coefficients,
+                          delta_f_te_leading, g_slope_at_zero, pade_delta_f,
+                          te_slope_integral)
 from .errors import (ConvergenceError, LifshitzError, PrecisionError,
                      RegimeError, TableFormatError)
 from .thermo import (LowTempFit, RSeries, classical_limit_check,
@@ -33,7 +33,7 @@ __all__ = [
     "load_permittivity_table",
     "ConvergenceError", "LifshitzError", "PrecisionError", "RegimeError",
     "TableFormatError",
-    "AsymptoticCoefficients", "AsymptoticContext", "coefficients",
+    "AsymptoticCoefficients", "coefficients",
     "delta_f_te_leading", "g_slope_at_zero",
     "pade_delta_f", "te_slope_integral",
     "LowTempFit", "RSeries", "classical_limit_check", "classical_pressure",

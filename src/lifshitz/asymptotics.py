@@ -19,9 +19,10 @@ difference sum' g - integral g. Its leading term gives
     C1 = (2 ln 2 - 1) k^2 omega_p^2 / (48 hbar nu c^2),
 
 where the Pade denominator resums the half-power correction whose
-numeric strength 0.204 is taken as a given constant. Everything here
-assumes zeta_m well below the relaxation rate nu; ``thermo`` evaluates
-g only at T <= 0.2 K and raises RegimeError above.
+numeric strength 0.204 is taken as a given constant. g reads omega_p,
+nu, a and T from a PlateSystem whose model is a DrudeModel. Everything
+here assumes zeta_m well below the relaxation rate nu; ``thermo``
+evaluates g only at T <= 0.2 K and raises RegimeError above.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 
 from .constants import (C_LIGHT, HBAR, K_BOLTZMANN, TWO_LN2_MINUS_1,
                         matsubara_frequency)
+from .core import PlateSystem
 from .dispersion import DrudeModel
 from .quadrature import gl_panels, log1mexp
 
@@ -43,45 +45,10 @@ G_SLOPE_EXACT = -0.25 * TWO_LN2_MINUS_1
 _SLOPE_STEPS = (1e-3, 5e-4, 2.5e-4)
 
 
-@dataclass(frozen=True)
-class AsymptoticContext:
-    """Drude parameters and geometry entering the TE expansion."""
-
-    omega_p: float
-    nu: float
-    gap: float
-    temperature: float
-
-    def __post_init__(self):
-        for name in ("omega_p", "nu", "gap", "temperature"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-
-    @classmethod
-    def from_material(cls, material: DrudeModel, gap: float,
-                      temperature: float) -> "AsymptoticContext":
-        return cls(material.omega_p, material.nu, gap, temperature)
-
-    @property
-    def d_ratio(self) -> float:
-        """D = omega_p^2 / nu, rad/s."""
-        return self.omega_p ** 2 / self.nu
-
-    @property
-    def c_scale(self) -> float:
-        """C = omega_p^2 k T / (hbar nu c^2), 1/m^2; linear in T."""
-        return (self.omega_p ** 2 * K_BOLTZMANN * self.temperature
-                / (HBAR * self.nu * C_LIGHT ** 2))
-
-    def alpha(self, m):
-        """Dimensionless decay rate 2 a sqrt(2 pi C m)."""
-        return 2.0 * self.gap * np.sqrt(2.0 * math.pi * self.c_scale
-                                        * np.asarray(m, dtype=float))
-
-    def zeta(self, m):
-        """Matsubara frequency of continuous index m, rad/s."""
-        return matsubara_frequency(m, self.temperature)
+def _c_scale(material: DrudeModel, temperature: float) -> float:
+    """C = omega_p^2 k T / (hbar nu c^2), 1/m^2; linear in T."""
+    return (material.omega_p ** 2 * K_BOLTZMANN * temperature
+            / (HBAR * material.nu * C_LIGHT ** 2))
 
 
 @dataclass(frozen=True)
@@ -96,8 +63,8 @@ class AsymptoticCoefficients:
             raise ValueError(f"coefficients must be finite and > 0, got {self}")
 
 
-def _g_many(ctx: AsymptoticContext, m):
-    """Vectorized g(m) for continuous m > 0, without the regime guard.
+def _g_many(system: PlateSystem, m):
+    """Vectorized g(m) for continuous m > 0 at the system's gap and temperature.
 
     The x mesh is geometric from the lower limit out to the point where
     either the exponential or the x^{-4} decay of B has exhausted the
@@ -107,9 +74,10 @@ def _g_many(ctx: AsymptoticContext, m):
     1.7e-15 relative for m in [1e-4, 200], gaps 0.2-8 um and T from
     1 mK to 0.2 K.
     """
+    model, temp = system.model, system.temperature
     m = np.atleast_1d(np.asarray(m, dtype=float))
-    alpha = ctx.alpha(m)
-    x_min = np.sqrt(ctx.zeta(m) / ctx.d_ratio)
+    alpha = 2.0 * system.gap * np.sqrt(2.0 * math.pi * _c_scale(model, temp) * m)
+    x_min = np.sqrt(matsubara_frequency(m, temp) / (model.omega_p ** 2 / model.nu))
     x_max = np.minimum(50.0 / alpha + 2.0 * x_min, 4e5)
     panels = 28
     ratio = (x_max / x_min) ** (1.0 / panels)
@@ -151,9 +119,7 @@ def coefficients(material: DrudeModel, gap: float) -> AsymptoticCoefficients:
     if not (gap > 0.0 and math.isfinite(gap)):
         raise ValueError(f"gap must be finite and > 0 m, got {gap}")
     c1 = delta_f_te_leading(material, 1.0)
-    c_per_kelvin = (material.omega_p ** 2 * K_BOLTZMANN
-                    / (HBAR * material.nu * C_LIGHT ** 2))
-    c2 = (0.204 * gap * math.sqrt(2.0 * math.pi * c_per_kelvin)
+    c2 = (0.204 * gap * math.sqrt(2.0 * math.pi * _c_scale(material, 1.0))
           / (4.0 * abs(G_SLOPE_EXACT)))
     return AsymptoticCoefficients(c1=c1, c2=c2)
 
@@ -166,17 +132,17 @@ def pade_delta_f(coeffs: AsymptoticCoefficients, temperature: float) -> float:
             / (1.0 + coeffs.c2 * math.sqrt(temperature)))
 
 
-def g_slope_at_zero(ctx: AsymptoticContext) -> float:
+def g_slope_at_zero(system: PlateSystem) -> float:
     """g'(0) from secants of _g_many extrapolated to step 0.
 
     g carries a half-power term at the origin, so the secants
     g(h)/h at the steps h of ``_SLOPE_STEPS`` are fitted with the model
     s + b sqrt(h) + c h and the intercept s is returned. The half-power
-    coefficient shrinks with sqrt(T), so small-temperature contexts
+    coefficient shrinks with sqrt(T), so small-temperature systems
     extrapolate best.
     """
     hs = np.array(_SLOPE_STEPS)
-    secants = _g_many(ctx, hs) / hs
+    secants = _g_many(system, hs) / hs
     basis = np.stack([np.ones_like(hs), np.sqrt(hs), hs], axis=1)
     coeff = np.linalg.solve(basis, secants)
     return float(coeff[0])

@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from .asymptotics import (AsymptoticContext, coefficients, g_slope_at_zero,
-                          pade_delta_f, te_slope_integral)
+from .asymptotics import (coefficients, g_slope_at_zero, pade_delta_f,
+                          te_slope_integral)
 from .constants import ev_to_rad_per_s
 from .core import PlateSystem, coefficient_surface, free_energy, pressure
 from .dispersion import (DrudeModel, PlasmaModel, load_permittivity_table)
@@ -235,8 +235,7 @@ def cmd_asymptotics(args):
     if not isinstance(model, DrudeModel):
         raise ValueError("asymptotics requires --material drude")
     co = coefficients(model, args.gap)
-    ctx = AsymptoticContext.from_material(model, args.gap, 1e-4)
-    slope = g_slope_at_zero(ctx)
+    slope = g_slope_at_zero(PlateSystem(args.gap, 1e-4, model))
     columns = ["gap_m", "c1_J_m2K2", "c2_per_sqrtK", "g_slope_at_zero",
                "g_slope_integral"]
     em = Emitter(_config_dict(args, gap_m=args.gap, temp=args.temp),

@@ -262,6 +262,8 @@ def reflection_coefficients(model: ReflectionModel, zeta, q) -> ReflectionPair:
     """
     zeta = np.asarray(zeta, dtype=float)
     q = np.asarray(q, dtype=float)
+    if not (np.all(np.isfinite(zeta)) and np.all(np.isfinite(q))):
+        raise ValueError("zeta and q must be finite")
     if np.any(zeta <= 0.0):
         raise ValueError("zeta must be > 0; use zero_mode_coefficients for m = 0")
     if np.any(q * C_LIGHT < zeta * (1.0 - 1e-12)):
@@ -273,6 +275,8 @@ def reflection_coefficients(model: ReflectionModel, zeta, q) -> ReflectionPair:
 def zero_mode_coefficients(model: ReflectionModel, q) -> ReflectionPair:
     """Analytic zeta -> 0 limits of (A, B) at transverse wavenumber q."""
     q = np.asarray(q, dtype=float)
+    if not np.all(np.isfinite(q)):
+        raise ValueError("q must be finite")
     if np.any(q <= 0.0):
         raise ValueError("q must be > 0")
     return _reflection_pair(model.zero_mode_log_reflection(q), q.shape)
@@ -353,17 +357,14 @@ def mode_integrals(model: ReflectionModel, gap: float, zetas, kind: str = "energ
 
 
 def zero_mode_integrals(model: ReflectionModel, gap: float, kind: str = "energy"):
-    """Full-weight m = 0 reduced integrals (S0_TM, S0_TE, error) on the dense mesh."""
+    """Full-weight m = 0 reduced integrals (S0_TM, S0_TE) on the dense mesh."""
     kernel = _KINDS[kind][0]
     ref_nodes, wk, wg = _DENSE_MESH
     nodes = ref_nodes[None, :]
-    ln_a, ln_b = model.zero_mode_log_reflection(nodes / (2.0 * gap))
-    s_tm = s_te = e_tm = e_te = np.zeros(1)
-    if ln_a is not None:
-        s_tm, e_tm = _gk_integrate(kernel(nodes, ln_a), wk, wg)
-    if ln_b is not None:
-        s_te, e_te = _gk_integrate(kernel(nodes, ln_b), wk, wg)
-    return float(s_tm[0]), float(s_te[0]), float(e_tm[0] + e_te[0])
+    # a None log is a channel with R identically 0, which integrates to 0
+    s_tm, s_te = (0.0 if ln is None else _gk_integrate(kernel(nodes, ln), wk, wg)[0][0]
+                  for ln in model.zero_mode_log_reflection(nodes / (2.0 * gap)))
+    return float(s_tm), float(s_te)
 
 
 def _refine_mode(model, gap, zeta, kind, rel_tol):
@@ -571,7 +572,7 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
     """
     model, a, temp = system.model, system.gap, system.temperature
     quad_tol = tol / 10.0
-    s0_tm, s0_te, _ = zero_mode_integrals(model, a, kind)
+    s0_tm, s0_te = zero_mode_integrals(model, a, kind)
     kept = [(np.array([0.5 * s0_tm]), np.array([0.5 * s0_te]))]
     acc = prev_total = 0.5 * (s0_tm + s0_te)
     if not math.isfinite(acc):
@@ -709,6 +710,8 @@ def coefficient_surface(model: ReflectionModel, zeta_grid, kperp_grid) -> Coeffi
     """
     zeta_grid = np.atleast_1d(np.asarray(zeta_grid, dtype=float))
     kperp_grid = np.atleast_1d(np.asarray(kperp_grid, dtype=float))
+    if not (np.all(np.isfinite(zeta_grid)) and np.all(np.isfinite(kperp_grid))):
+        raise ValueError("grids must be finite")
     if np.any(zeta_grid <= 0.0) or np.any(kperp_grid <= 0.0):
         raise ValueError("grids must be positive")
     valid = kperp_grid * C_LIGHT >= zeta_grid[:, None]

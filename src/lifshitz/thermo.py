@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .asymptotics import AsymptoticCoefficients, AsymptoticContext, _g_many, pade_delta_f
+from .asymptotics import AsymptoticCoefficients, _c_scale, _g_many, pade_delta_f
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN, ZETA3, matsubara_frequency
 from .core import (_KINDS, PlateSystem, ReflectionModel, _gk_integrate, mode_integrals,
                    pressure, zero_mode_integrals)
@@ -114,13 +114,11 @@ def delta_f_te_numeric(system: PlateSystem, tol: float = 1e-9) -> float:
         raise RegimeError(
             f"T = {system.temperature} K is outside the low-temperature "
             "window (T <= 0.2 K) of the expansion")
-    ctx = AsymptoticContext.from_material(system.model, system.gap,
-                                          system.temperature)
 
     def h(u):
         out = np.zeros_like(u)
         pos = u > 0.0
-        out[pos] = _g_many(ctx, u[pos])
+        out[pos] = _g_many(system, u[pos])
         return out
 
     delta, floor = sum_minus_integral(h)
@@ -129,7 +127,8 @@ def delta_f_te_numeric(system: PlateSystem, tol: float = 1e-9) -> float:
         raise PrecisionError(
             f"TE thermal shift {delta:.3e} has an error floor {floor:.3e} "
             f"above tol = {tol:.1e} of it; temperature too low to resolve")
-    c_over_beta = ctx.c_scale * K_BOLTZMANN * system.temperature
+    temp = system.temperature
+    c_over_beta = _c_scale(system.model, temp) * K_BOLTZMANN * temp
     result = c_over_beta * delta
     if result <= 0.0:
         raise PrecisionError(
@@ -153,7 +152,7 @@ def _thermal_shift(system: PlateSystem, kind: str, polarization: str) -> float:
     _, power, sign = _KINDS[kind]
     model, gap, temp = system.model, system.gap, system.temperature
     zeta1 = matsubara_frequency(1, temp)
-    s0_tm, s0_te, _ = zero_mode_integrals(model, gap, kind)
+    s0_tm, s0_te = zero_mode_integrals(model, gap, kind)
     s0 = {"both": s0_tm + s0_te, "tm": s0_tm, "te": s0_te}[polarization]
 
     def h(u):
@@ -270,11 +269,8 @@ def collect_lowtemp_samples(material: DrudeModel, gap: float,
     """(T, dF_TE) pairs from the low-frequency evaluator."""
     if t_grid is None:
         t_grid = default_fit_grid()
-    out = []
-    for t in np.asarray(t_grid, dtype=float):
-        system = PlateSystem(gap=gap, temperature=float(t), model=material)
-        out.append((float(t), delta_f_te_numeric(system, tol=tol)))
-    return out
+    return [(float(t), delta_f_te_numeric(PlateSystem(gap, float(t), material), tol=tol))
+            for t in np.asarray(t_grid, dtype=float)]
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from lifshitz.asymptotics import (G_SLOPE_EXACT, AsymptoticCoefficients,
-                                  AsymptoticContext, _g_many, coefficients,
+                                  _c_scale, _g_many, coefficients,
                                   delta_f_te_leading, g_slope_at_zero,
                                   pade_delta_f, te_slope_integral)
 from lifshitz.constants import (C_LIGHT, HBAR, K_BOLTZMANN, TWO_LN2_MINUS_1)
+from lifshitz.core import PlateSystem
 from lifshitz.dispersion import GOLD, DrudeModel
 
-CTX_COLD = AsymptoticContext.from_material(GOLD, 1e-6, 1e-4)
+CTX_COLD = PlateSystem(1e-6, 1e-4, GOLD)
 
 
 class TestSlopeConstant:
@@ -28,8 +29,7 @@ class TestSlopeConstant:
 
 class TestGOfM:
     def test_negative_for_positive_m(self):
-        ctx = AsymptoticContext.from_material(GOLD, 1e-6, 0.01)
-        assert np.all(_g_many(ctx, [0.5, 1.0, 4.0]) < 0.0)
+        assert np.all(_g_many(PlateSystem(1e-6, 0.01, GOLD), [0.5, 1.0, 4.0]) < 0.0)
 
     def test_small_m_linear_regime(self):
         # g(m) ~ g'(0) m while alpha(m) stays small
@@ -38,25 +38,8 @@ class TestGOfM:
 
 
 class TestContext:
-    def test_d_ratio(self):
-        assert CTX_COLD.d_ratio == pytest.approx(3.5908e18, rel=1e-4)
-
     def test_c_scale_linear_in_temperature(self):
-        c1 = AsymptoticContext.from_material(GOLD, 1e-6, 0.01).c_scale
-        c2 = AsymptoticContext.from_material(GOLD, 1e-6, 0.02).c_scale
-        assert c2 == pytest.approx(2.0 * c1, rel=1e-12)
-
-    def test_alpha_sqrt_m(self):
-        ctx = AsymptoticContext.from_material(GOLD, 1e-6, 0.01)
-        assert ctx.alpha(4.0) == pytest.approx(2.0 * ctx.alpha(1.0), rel=1e-12)
-        expected = 2.0 * ctx.gap * math.sqrt(2.0 * math.pi * ctx.c_scale)
-        assert ctx.alpha(1.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AsymptoticContext(GOLD.omega_p, GOLD.nu, -1e-6, 0.01)
-        with pytest.raises(ValueError):
-            AsymptoticContext(GOLD.omega_p, 0.0, 1e-6, 0.01)
+        assert _c_scale(GOLD, 0.02) == pytest.approx(2.0 * _c_scale(GOLD, 0.01), rel=1e-12)
 
 
 class TestCoefficients:
@@ -142,7 +125,6 @@ class TestPade:
             assert abs(s) <= 3.0 * self.co.c1 * t
 
 
-_CONTEXT_ARGS = {"omega_p": GOLD.omega_p, "nu": GOLD.nu, "gap": 1e-6, "temperature": 0.01}
 _NON_FINITE_CALLS = {
     "coefficients": lambda x: coefficients(GOLD, x),
     # built directly, c1 = inf would give an infinite pade_delta_f and c2 = inf a zero one
@@ -150,9 +132,6 @@ _NON_FINITE_CALLS = {
     "coefficients_c2": lambda x: AsymptoticCoefficients(5.8e-13, x),
     "delta_f_te_leading": lambda x: delta_f_te_leading(GOLD, x),
     "pade_delta_f": lambda x: pade_delta_f(coefficients(GOLD, 1e-6), x),
-    **{f"context_{name}": (lambda x, name=name:
-                           AsymptoticContext(**dict(_CONTEXT_ARGS, **{name: x})))
-       for name in _CONTEXT_ARGS},
 }
 
 

@@ -213,10 +213,18 @@ class TestFailureModes:
         assert rc == 1
 
     def test_asymptotics_rejects_plasma(self, capsys):
-        rc, _, err = run_cli(capsys, "asymptotics", "--gap", "1e-6",
-                             "--material", "plasma")
+        # the three commands of the low-temperature expansion
+        for command in ("asymptotics", "fit-lowtemp", "r-series"):
+            rc, out, err = run_cli(capsys, command, "--gap", "1e-6",
+                                   "--material", "plasma")
+            assert (rc, out, err) == (1, "", f"error: {command} requires --material drude\n")
+
+    def test_coeff_surface_rejects_non_finite_grid(self, capsys):
+        rc, out, err = run_cli(capsys, "coeff-surface", "--zeta-range", "nan",
+                               "--kperp-range", "1e5")
         assert rc == 1
-        assert "drude" in err
+        assert out == ""
+        assert "finite" in err
 
     @pytest.mark.parametrize("args", [("--gap", "inf"), ("--gap", "1e-6", "--temp", "nan")],
                              ids=["gap_inf", "temp_nan"])

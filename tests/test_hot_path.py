@@ -60,7 +60,7 @@ def _brute_force(model, gap, temp, kind):
     zeta1 = matsubara_frequency(1, temp)
     n = int(60.0 / (2.0 * gap * zeta1 / C_LIGHT))
     s_tm, s_te, _, _ = mode_integrals(model, gap, zeta1 * np.arange(1.0, n + 1.0), kind)
-    s0_tm, s0_te, _ = zero_mode_integrals(model, gap, kind)
+    s0_tm, s0_te = zero_mode_integrals(model, gap, kind)
     return math.fsum([0.5 * s0_tm, 0.5 * s0_te, *s_tm, *s_te])
 
 
@@ -363,7 +363,7 @@ def test_sum_stops_when_terms_underflow(gap, quantity, kind, power, sign):
     res = quantity(PlateSystem(gap, temp, GOLD), tol=tol, m_max=3000)
     zeta1 = matsubara_frequency(1, temp)
     s_tm, s_te, _, _ = mode_integrals(GOLD, gap, zeta1 * np.arange(1.0, 11.0), kind)
-    s0_tm, s0_te, _ = zero_mode_integrals(GOLD, gap, kind)
+    s0_tm, s0_te = zero_mode_integrals(GOLD, gap, kind)
     assert s_tm[4] == s_te[4] == 0.0
     pref = sign * K_BOLTZMANN * temp / (8.0 * math.pi * gap ** power)
     exact = pref * math.fsum([0.5 * s0_tm, 0.5 * s0_te, *s_tm, *s_te])
@@ -541,7 +541,7 @@ def test_non_finite_term_stops_the_sum(monkeypatch):
 
 def test_non_finite_zero_mode_stops_the_sum(monkeypatch):
     monkeypatch.setattr(core, "zero_mode_integrals",
-                        lambda model, gap, kind="energy": (math.nan, 0.0, 0.0))
+                        lambda model, gap, kind="energy": (math.nan, 0.0))
     with pytest.raises(ConvergenceError, match="m = 0 is not finite") as err:
         pressure(PlateSystem(1e-6, 300.0, GOLD))
     assert err.value.best_estimate == 0.0

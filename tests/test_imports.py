@@ -1,6 +1,10 @@
-"""No module of the package imports a name it does not use or keeps a dead private one."""
+"""No module of the package imports a name it does not use or keeps a dead private one,
+and importing the package or building the CLI parser leaves scipy unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +73,36 @@ def test_the_check_sees_an_unread_private_name():
 
 def test_no_unread_private_name():
     assert unread_private_names([p.read_text() for p in sorted(_PACKAGE.glob("*.py"))]) == []
+
+
+# scipy.interpolate alone costs most of a second at import, so only a
+# tabulated permittivity may import scipy
+_SCIPY_PROBE = """
+import sys
+import lifshitz
+import lifshitz.cli
+lifshitz.cli.build_parser()
+{after}
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def scipy_modules_after(after: str = "") -> str:
+    """The scipy modules a fresh interpreter holds after the probe and ``after``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(_PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE.format(after=after)],
+                          capture_output=True, text=True, env=env, check=True)
+    return done.stdout.strip()
+
+
+def test_the_probe_sees_scipy_once_a_table_is_loaded():
+    table = ("import numpy as np\n"
+             "from lifshitz.dispersion import GOLD, TabulatedPermittivity\n"
+             "z = np.geomspace(1e12, 1e18, 8)\n"
+             "TabulatedPermittivity(z, GOLD.epsilon(z))\n")
+    assert "'scipy.interpolate'" in scipy_modules_after(table)
+
+
+def test_import_and_parser_leave_scipy_unloaded():
+    assert scipy_modules_after() == "[]"

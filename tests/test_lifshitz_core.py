@@ -19,7 +19,7 @@ def classical_zero_mode_energy(gap, temperature):
 
 def zero_mode_energy(model, gap, temperature):
     """Half-weighted m = 0 free-energy term as (TM, TE), J/m^2."""
-    s_tm, s_te, _ = zero_mode_integrals(model, gap, "energy")
+    s_tm, s_te = zero_mode_integrals(model, gap, "energy")
     pref = K_BOLTZMANN * temperature / (16.0 * math.pi * gap ** 2)
     return pref * s_tm, pref * s_te
 
@@ -145,7 +145,8 @@ class TestPressure:
 class TestPlateSystem:
     def test_validation(self):
         for gap, temp in ((0.0, 300.0), (1e-6, -1.0), (math.inf, 300.0),
-                          (1e-6, math.inf), (math.nan, 300.0)):
+                          (1e-6, math.inf), (math.nan, 300.0), (1e-6, math.nan),
+                          (1e-6, 0.0)):
             with pytest.raises(ValueError):
                 PlateSystem(gap, temp, GOLD)
 

@@ -212,6 +212,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             reflection_coefficients(GOLD, 0.0, 1e6)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("call", [
+        lambda x: reflection_coefficients(GOLD, x, 1e7),
+        lambda x: reflection_coefficients(GOLD, 1e13, [1e5, x]),
+        lambda x: zero_mode_coefficients(GOLD, [1e5, x]),
+        lambda x: coefficient_surface(GOLD, [1e13, x], [1e5]),
+        lambda x: coefficient_surface(GOLD, [1e13], [1e5, x]),
+    ], ids=["reflection_zeta", "reflection_q", "zero_mode_q", "surface_zeta",
+            "surface_kperp"])
+    def test_non_finite_point_rejected(self, call, value):
+        with pytest.raises(ValueError, match="finite"):
+            call(value)
+
 
 def test_surface_grid():
     zeta = np.geomspace(1e13, 1e16, 8)

@@ -139,11 +139,18 @@ def _dense_sum_minus_integral(h):
     return math.fsum(terms) - math.fsum(integrand) + correction, 0.0
 
 
-def _dense_g_many(ctx, m):
-    """Dense reference for asymptotics._g_many: 56 x panels of 16 nodes."""
+def _dense_g_many(system, m):
+    """Dense reference for asymptotics._g_many: 56 x panels of 16 nodes.
+
+    alpha = 2 a sqrt(2 pi C m) with C = omega_p^2 k T / (hbar nu c^2),
+    and x_min = sqrt(zeta_m nu / omega_p^2), written out here so the
+    oracle shares no scale code with the library.
+    """
+    model, temp = system.model, system.temperature
     m = np.atleast_1d(np.asarray(m, dtype=float))
-    alpha = ctx.alpha(m)
-    x_min = np.sqrt(ctx.zeta(m) / ctx.d_ratio)
+    c_scale = model.omega_p ** 2 * K_BOLTZMANN * temp / (HBAR * model.nu * C_LIGHT ** 2)
+    alpha = 2.0 * system.gap * np.sqrt(2.0 * math.pi * c_scale * m)
+    x_min = np.sqrt(matsubara_frequency(m, temp) * model.nu / model.omega_p ** 2)
     x_max = np.minimum(50.0 / alpha + 2.0 * x_min, 4e5)
     ratio = (x_max / x_min) ** (1.0 / 56)
     breaks = x_min[:, None] * ratio[:, None] ** np.arange(57)[None, :]
