@@ -46,7 +46,14 @@ _SLOPE_STEPS = (1e-3, 5e-4, 2.5e-4)
 
 
 def _c_scale(material: DrudeModel, temperature: float) -> float:
-    """C = omega_p^2 k T / (hbar nu c^2), 1/m^2; linear in T."""
+    """C = omega_p^2 k T / (hbar nu c^2), 1/m^2; linear in T.
+
+    Every quantity of the expansion passes through here, so this is
+    where a model other than a DrudeModel is turned away.
+    """
+    if not isinstance(material, DrudeModel):
+        raise TypeError("the low-frequency TE expansion needs a DrudeModel, "
+                        f"got {type(material).__name__}")
     return (material.omega_p ** 2 * K_BOLTZMANN * temperature
             / (HBAR * material.nu * C_LIGHT ** 2))
 
@@ -104,8 +111,7 @@ def delta_f_te_leading(material: DrudeModel, temperature: float) -> float:
     """Gap-independent leading TE correction C1 T^2, J/m^2."""
     if not (temperature >= 0.0 and math.isfinite(temperature)):
         raise ValueError(f"temperature must be finite and >= 0 K, got {temperature}")
-    c1 = (TWO_LN2_MINUS_1 * K_BOLTZMANN ** 2 * material.omega_p ** 2
-          / (48.0 * HBAR * material.nu * C_LIGHT ** 2))
+    c1 = _c_scale(material, 1.0) * K_BOLTZMANN * TWO_LN2_MINUS_1 / 48.0
     return c1 * temperature ** 2
 
 

@@ -20,7 +20,8 @@ Models:
 * ConstantPermittivity  fixed eps >= 1 (degenerate test model)
 * TabulatedPermittivity  cubic interpolation of measured data in
   (log zeta, log(eps-1)), Drude continuation below the table and a
-  power law above it.
+  power law above it. The spline and the Drude fit are written here in
+  numpy, the package's only numerical dependency.
 """
 
 from __future__ import annotations
@@ -131,15 +132,95 @@ class ConstantPermittivity:
         return np.full_like(q, 2.0 * (math.log(eps - 1.0) - math.log(eps + 1.0))), None
 
 
+def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(n-1, 4) Horner coefficients of the not-a-knot cubic spline through (x, y).
+
+    Row i gives y = ((c0 t + c1) t + c2) t + c3 with t = x - x[i] on
+    [x[i], x[i+1]]. The knot slopes s solve the tridiagonal system of
+    continuous second derivatives, closed at each end by a continuous
+    third derivative at the second and the last but one knot. The
+    Thomas sweep needs no pivoting: each interior pivot is at least the
+    width of its two intervals, and the last one stays positive.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    n = x.size
+    lower = np.empty(n)
+    diag = np.empty(n)
+    upper = np.empty(n)
+    rhs = np.empty(n)
+    lower[1:-1], diag[1:-1], upper[1:-1] = h[1:], 2.0 * (h[:-1] + h[1:]), h[:-1]
+    rhs[1:-1] = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
+    d0, d1 = h[0] + h[1], h[-1] + h[-2]
+    diag[0], upper[0] = h[1], d0
+    rhs[0] = ((h[0] + 2.0 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0
+    lower[-1], diag[-1] = d1, h[-2]
+    rhs[-1] = (h[-1] ** 2 * m[-2] + (2.0 * d1 + h[-1]) * h[-2] * m[-1]) / d1
+    lower, diag, upper, rhs = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    for i in range(1, n):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    s = [0.0] * n
+    s[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2.0 * m) / h
+    return np.stack([t / h, (m - s[:-1]) / h - t, s[:-1], y[:-1]], axis=1)
+
+
+def _fit_drude(z: np.ndarray, log_e: np.ndarray) -> DrudeModel:
+    """Least-squares fit of ln(eps - 1) = 2 ln omega_p - ln z - ln(z + nu).
+
+    Variable projection: with u = ln nu and ln(z + nu) = u + l(u),
+    l = log1p(z / nu), the best ln omega_p for a given u is a mean, and
+    the residual is the centred a + l with a = ln(eps - 1) + ln z, so u
+    itself cancels. The misfit is minimised over a grid in u from 1e-6
+    of the lowest to 1e6 times the highest sample, then polished by
+    Newton steps kept inside the grid cell around the best node. A
+    table that no finite nu fits (flat, or plasma-like) ends at an edge
+    of that range instead of failing.
+    """
+    a = log_e + np.log(z)
+    a_mean = a.mean()
+    a = a - a_mean
+
+    def centred_l(u):
+        l = np.log1p(z * np.exp(-u)[..., None])
+        return l - l.mean(axis=-1, keepdims=True)
+
+    decades = 6.0 * math.log(10.0)
+    grid = np.linspace(math.log(z[0]) - decades, math.log(z[-1]) + decades, 129)
+    k = int(np.argmin(((a + centred_l(grid)) ** 2).sum(axis=1)))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    u = grid[k]
+    for _ in range(20):
+        r = a + centred_l(np.array(u))
+        w = 1.0 / (1.0 + z * math.exp(-u))  # d ln(z + nu) / du
+        dr = w - w.mean()
+        gauss_newton = float(np.dot(dr, dr))
+        newton = gauss_newton + float(np.dot(r, w * (1.0 - w)))
+        curv = newton if newton > 0.0 else gauss_newton
+        new = min(max(u - float(np.dot(r, dr)) / curv, lo), hi)
+        step, u = new - u, new
+        if abs(step) <= 1e-13:
+            break
+    l_mean = float(np.log1p(z * math.exp(-u)).mean())
+    return DrudeModel(math.exp(0.5 * (a_mean + u + l_mean)), math.exp(u))
+
+
 class TabulatedPermittivity:
     """Permittivity interpolated from (zeta, eps) samples.
 
-    Inside the tabulated range a cubic spline in (log zeta, log(eps-1))
-    is used; linear interpolation on the same axes is not accurate
-    enough for 1e-6-level free-energy reproduction at realistic grid
-    densities. Below the range the permittivity follows a Drude model
-    fitted to the lowest decade of samples; above it, a power law
-    continuing the last log-log slope. The zero mode is that of the
+    Inside the tabulated range a not-a-knot cubic spline in
+    (log zeta, log(eps-1)) is used, or linear interpolation on the same
+    axes for a table of fewer than four rows; linear interpolation is
+    not accurate enough for 1e-6-level free-energy reproduction at
+    realistic grid densities. Below the range the permittivity follows
+    a Drude model least-squares fitted in log(eps-1) to the lowest
+    decade of samples (at least two); above it, a power law continuing
+    the last log-log slope. The zero mode is that of the
     low-frequency model: the fitted Drude model unless ``low_freq_model``
     gives another.
     """
@@ -162,38 +243,19 @@ class TabulatedPermittivity:
         self.eps = eps
         self._log_z = np.log(zeta)
         self._log_e = np.log(eps - 1.0)
-        if zeta.size >= 4:
-            # scipy is imported here, not at module level: only tables
-            # need it, and it dominates the package's import time
-            from scipy.interpolate import CubicSpline
-            self._spline = CubicSpline(self._log_z, self._log_e)
-        else:
-            self._spline = None
+        self._coef = (_not_a_knot_coefficients(self._log_z, self._log_e)
+                      if zeta.size >= 4 else None)
         self._hi_slope = ((self._log_e[-1] - self._log_e[-2])
                           / (self._log_z[-1] - self._log_z[-2]))
         self.low_freq_model = low_freq_model or self._fit_drude_tail()
 
     def _fit_drude_tail(self) -> DrudeModel:
-        """Least-squares Drude fit to the lowest decade of the table."""
-        from scipy.optimize import least_squares
-
+        """Drude fit to the lowest decade of the table, or its first two rows."""
         in_decade = self.zeta <= 10.0 * self.zeta[0]
         if np.count_nonzero(in_decade) < 2:
             in_decade = np.zeros_like(in_decade)
             in_decade[:2] = True
-        z = self.zeta[in_decade]
-        log_e = self._log_e[in_decade]
-
-        def residual(params):
-            log_wp, log_nu = params
-            model = 2.0 * log_wp - np.log(z) - np.log(z + math.exp(log_nu))
-            return model - log_e
-
-        # deep-regime seed: eps - 1 ~ omega_p^2 / (zeta nu)
-        nu0 = 10.0 * z[-1]
-        wp0 = math.sqrt(math.exp(log_e[0]) * z[0] * (z[0] + nu0))
-        sol = least_squares(residual, x0=[math.log(wp0), math.log(nu0)])
-        return DrudeModel(math.exp(sol.x[0]), math.exp(sol.x[1]))
+        return _fit_drude(self.zeta[in_decade], self._log_e[in_decade])
 
     def eps_minus_one(self, zeta):
         z = _validated_zeta(zeta)
@@ -205,8 +267,12 @@ class TabulatedPermittivity:
         inside = ~(below | above)
         if np.any(inside):
             lz = np.log(z[inside])
-            if self._spline is not None:
-                out[inside] = np.exp(self._spline(lz))
+            if self._coef is not None:
+                # interval index from the interior knots: 0 to n - 2, no clip
+                i = np.searchsorted(self._log_z[1:-1], lz, side="right")
+                t = lz - self._log_z[i]
+                c0, c1, c2, c3 = self._coef.take(i, axis=0).T
+                out[inside] = np.exp(((c0 * t + c1) * t + c2) * t + c3)
             else:
                 out[inside] = np.exp(np.interp(lz, self._log_z, self._log_e))
         if np.any(below):

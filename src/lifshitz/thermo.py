@@ -105,9 +105,9 @@ def delta_f_te_numeric(system: PlateSystem, tol: float = 1e-9) -> float:
     the bracket (on the default fit grid it stays below about 4e-11 of
     it at gaps of 0.2-8 um).
     """
-    if not isinstance(system.model, DrudeModel):
-        raise TypeError("the low-frequency TE expansion needs a DrudeModel, "
-                        f"got {type(system.model).__name__}")
+    temp = system.temperature
+    # raises the TypeError for a model other than a DrudeModel
+    c_over_beta = _c_scale(system.model, temp) * K_BOLTZMANN * temp
     if not 0.0 < tol <= 1e-8:
         raise ValueError(f"tol must be in (0, 1e-8], got {tol}")
     if system.temperature > 0.2:
@@ -127,8 +127,6 @@ def delta_f_te_numeric(system: PlateSystem, tol: float = 1e-9) -> float:
         raise PrecisionError(
             f"TE thermal shift {delta:.3e} has an error floor {floor:.3e} "
             f"above tol = {tol:.1e} of it; temperature too low to resolve")
-    temp = system.temperature
-    c_over_beta = _c_scale(system.model, temp) * K_BOLTZMANN * temp
     result = c_over_beta * delta
     if result <= 0.0:
         raise PrecisionError(

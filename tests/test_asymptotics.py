@@ -9,7 +9,8 @@ from lifshitz.asymptotics import (G_SLOPE_EXACT, AsymptoticCoefficients,
                                   pade_delta_f, te_slope_integral)
 from lifshitz.constants import (C_LIGHT, HBAR, K_BOLTZMANN, TWO_LN2_MINUS_1)
 from lifshitz.core import PlateSystem
-from lifshitz.dispersion import GOLD, DrudeModel
+from lifshitz.dispersion import GOLD, DrudeModel, PlasmaModel
+from lifshitz.thermo import delta_f_te_numeric
 
 CTX_COLD = PlateSystem(1e-6, 1e-4, GOLD)
 
@@ -146,3 +147,11 @@ def test_slope_constant_gives_the_quadratic_coefficient():
     # -g'(0)/12, the leading Euler-Maclaurin term of sum' g - int g,
     # is the (2 ln 2 - 1)/48 bracket of c1
     assert -G_SLOPE_EXACT / 12.0 == TWO_LN2_MINUS_1 / 48.0
+
+
+@pytest.mark.parametrize("call", [g_slope_at_zero, delta_f_te_numeric,
+                                  lambda system: coefficients(system.model, system.gap)],
+                         ids=["g_slope_at_zero", "delta_f_te_numeric", "coefficients"])
+def test_expansion_rejects_a_model_other_than_drude(call):
+    with pytest.raises(TypeError, match="needs a DrudeModel, got PlasmaModel"):
+        call(PlateSystem(1e-6, 1e-4, PlasmaModel(GOLD.omega_p)))

@@ -1,5 +1,6 @@
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +137,87 @@ class TestTabulated:
                 TabulatedPermittivity(np.array([1.0, 2.0]), np.array([2.0, bad]))
             with pytest.raises(TableFormatError):
                 TabulatedPermittivity(np.array([1.0, bad]), np.array([2.0, 2.0]))
+
+
+_GOLD_601 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "gold_drude_601.txt"
+
+
+def _gold_table(lo, hi, rows):
+    z = np.geomspace(lo, hi, rows)
+    return TabulatedPermittivity(z, GOLD.epsilon(z))
+
+
+class TestSplineAndFit:
+    """The numpy spline and Drude fit, alone and against scipy as an oracle."""
+
+    def test_spline_reproduces_a_cubic(self):
+        # a not-a-knot spline is exact for a cubic, on any grid
+        rng = np.random.default_rng(7)
+        x = np.sort(rng.uniform(28.0, 40.0, 23))
+        cubic = np.polynomial.Polynomial([5.0, -1.5, 0.3, -0.02], domain=[28.0, 40.0])
+        tab = TabulatedPermittivity(np.exp(x), 1.0 + np.exp(cubic(x)))
+        probe = np.linspace(x[0], x[-1], 997)
+        rel = np.abs(tab.eps_minus_one(np.exp(probe)) / np.exp(cubic(probe)) - 1.0)
+        assert rel.max() < 1e-12
+
+    @pytest.mark.parametrize("table", [
+        lambda: _gold_table(1e12, 1e18, 241),
+        lambda: _gold_table(1e13, 1e18, 201),
+        lambda: _gold_table(1e13, 1e17, 5),
+    ], ids=["from-1e12", "from-1e13", "two-rows-in-the-decade"])
+    def test_fit_recovers_an_exact_drude_table(self, table):
+        fitted = table().low_freq_model
+        assert fitted.omega_p == pytest.approx(GOLD.omega_p, rel=1e-10)
+        assert fitted.nu == pytest.approx(GOLD.nu, rel=1e-10)
+
+    @pytest.mark.parametrize("eps", [
+        lambda z: np.full_like(z, 3.0),
+        lambda z: 1.0 + (GOLD.omega_p / z) ** 2,
+    ], ids=["flat", "plasma"])
+    def test_fit_of_a_non_drude_table_is_finite(self, eps):
+        z = np.geomspace(1e13, 1e17, 41)
+        fitted = TabulatedPermittivity(z, eps(z)).low_freq_model
+        assert isinstance(fitted, DrudeModel)
+        assert math.isfinite(fitted.omega_p) and math.isfinite(fitted.nu)
+
+    @pytest.mark.parametrize("table", [
+        lambda: load_permittivity_table(_GOLD_601),
+        lambda: _gold_table(1e13, 1e17, 4),
+        lambda: _gold_table(1e13, 1e17, 5),
+    ], ids=["601-rows", "4-rows", "5-rows"])
+    def test_spline_matches_scipy(self, table):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        tab = table()
+        oracle = interpolate.CubicSpline(np.log(tab.zeta), np.log(tab.eps - 1.0))
+        probe = np.concatenate([tab.zeta, np.geomspace(tab.zeta[0], tab.zeta[-1], 4001)])
+        rel = np.abs(tab.eps_minus_one(probe) / np.exp(oracle(np.log(probe))) - 1.0)
+        assert rel.max() < 1e-13
+
+    @pytest.mark.parametrize("table", [
+        lambda: load_permittivity_table(_GOLD_601),
+        lambda: _gold_table(1e12, 1e18, 241),
+        lambda: _gold_table(1e13, 1e18, 201),
+        lambda: _gold_table(1e13, 1e17, 100),
+    ], ids=["601-rows", "from-1e12", "from-1e13", "1e13-1e17"])
+    def test_fit_matches_least_squares(self, table):
+        # tables with many rows in the lowest decade, where least_squares
+        # itself converges to 1e-9; on two rows it stops short of the exact fit
+        optimize = pytest.importorskip("scipy.optimize")
+        tab = table()
+        low = tab.zeta <= 10.0 * tab.zeta[0]
+        if np.count_nonzero(low) < 2:
+            low[:2] = True
+        z, log_e = tab.zeta[low], np.log(tab.eps[low] - 1.0)
+
+        def residual(params):
+            return 2.0 * params[0] - np.log(z) - np.log(z + math.exp(params[1])) - log_e
+
+        nu0 = 10.0 * z[-1]
+        wp0 = math.sqrt(math.exp(log_e[0]) * z[0] * (z[0] + nu0))
+        sol = optimize.least_squares(residual, x0=[math.log(wp0), math.log(nu0)])
+        fitted = tab.low_freq_model
+        assert fitted.omega_p == pytest.approx(math.exp(sol.x[0]), rel=1e-9)
+        assert fitted.nu == pytest.approx(math.exp(sol.x[1]), rel=1e-9)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -1,5 +1,6 @@
 """No module of the package imports a name it does not use or keeps a dead private one,
-and importing the package or building the CLI parser leaves scipy unloaded."""
+and importing the package, building the CLI parser, loading a table or making a
+table-backed call leaves scipy unloaded."""
 
 import ast
 import os
@@ -75,8 +76,8 @@ def test_no_unread_private_name():
     assert unread_private_names([p.read_text() for p in sorted(_PACKAGE.glob("*.py"))]) == []
 
 
-# scipy.interpolate alone costs most of a second at import, so only a
-# tabulated permittivity may import scipy
+# scipy.interpolate alone costs most of a second and about 50 MB at
+# import, so no part of the package imports scipy, tables included
 _SCIPY_PROBE = """
 import sys
 import lifshitz
@@ -96,13 +97,20 @@ def scipy_modules_after(after: str = "") -> str:
     return done.stdout.strip()
 
 
-def test_the_probe_sees_scipy_once_a_table_is_loaded():
-    table = ("import numpy as np\n"
-             "from lifshitz.dispersion import GOLD, TabulatedPermittivity\n"
-             "z = np.geomspace(1e12, 1e18, 8)\n"
-             "TabulatedPermittivity(z, GOLD.epsilon(z))\n")
-    assert "'scipy.interpolate'" in scipy_modules_after(table)
+def test_the_probe_sees_scipy_once_it_is_imported():
+    pytest.importorskip("scipy.interpolate")
+    assert "'scipy.interpolate'" in scipy_modules_after("import scipy.interpolate")
 
 
 def test_import_and_parser_leave_scipy_unloaded():
     assert scipy_modules_after() == "[]"
+
+
+def test_a_table_and_a_table_backed_call_leave_scipy_unloaded():
+    table = _PACKAGE.parent.parent / "perfbench" / "data" / "gold_drude_601.txt"
+    call = ("from lifshitz import PlateSystem, pressure\n"
+            "from lifshitz.dispersion import load_permittivity_table\n"
+            f"table = load_permittivity_table({str(table)!r})\n"
+            "assert table.zeta.size == 601\n"
+            "pressure(PlateSystem(1e-6, 300.0, table))\n")
+    assert scipy_modules_after(call) == "[]"
