@@ -47,12 +47,13 @@ gets the rest from the Euler-Maclaurin formula
 
 with h = S_TM + S_TE at zeta_1 u and the derivatives from 7-point
 stencils on h(M - 3 .. M + 3). The integral takes 75 to 200 more rows
-of the same evaluator, on Gauss-Kronrod panels in
-v = ln(1 + 2 a zeta / c), so its cost does not grow as T falls. A sum
-predicted to stop directly but still running at m = 192 tries the top
-rung. If the error estimate of the tail misses tol at every rung it
-tries (in practice only for tol below about 1e-12), the direct sum goes
-on instead.
+of the same evaluator, so its cost does not grow as T falls. Its panels
+have fixed breaks in v = ln(1 + 2 a zeta / c) and are integrated by
+GK15 in t = sqrt(v): the u^{3/2} term of a Drude-like TE channel at
+small u, a v^{3/2} endpoint in v, is t^3 in t. A sum predicted to stop
+directly but still running at m = 192 tries the top rung. If the error
+estimate of the tail misses tol at every rung it tries (in practice
+only for tol below about 1e-12), the direct sum goes on instead.
 
 The tail's panels and bisection loop (``_tail_panels``,
 ``_bisect_panels``) also give the T = 0 free energy in ``zero_temp``:
@@ -194,10 +195,10 @@ def _reference_mesh(offsets):
 _DENSE_MESH = _reference_mesh(_Y_OFFSETS)
 _LEAN_MESH = _reference_mesh(_LEAN_OFFSETS)
 
-# rows per evaluation in mode_integrals, so that a (rows, 435) float
-# temporary is 0.2 MB. Of caps from 32 to 1024 timed on the 76k-term
-# pressure sum at 0.2 um and 0.1 K, 32 and 64 were fastest; larger caps
-# were slower, 256 by about 25%.
+# rows per evaluation in mode_integrals (and asymptotics._g_many), so
+# that a (rows, 435) float temporary is 0.2 MB. Of caps from 32 to 1024
+# timed on the 76k-term pressure sum at 0.2 um and 0.1 K, 32 and 64 were
+# fastest; larger caps were slower, 256 by about 25%.
 _ROW_CAP = 64
 
 
@@ -402,10 +403,10 @@ def _first(mask) -> int:
 # whose remainder meets tol; a rung that misses costs no tail row. The
 # top rung puts its stencil on the block that ends at _EM_SWITCH, so a
 # sum predicted to stop directly but still running there takes the
-# same tail. The integral runs in
-# v = ln(1 + y0), y0 = kappa u, on GK15 panels over fixed breaks clipped
-# to start at v(M); zero_temp takes it from v = 0. It ends at y0 = 60:
-# past that the terms are below e^-60 of the first ones.
+# same tail. The integral runs over fixed breaks in v = ln(1 + y0),
+# y0 = kappa u, clipped to start at v(M), with GK15 in t = sqrt(v) on
+# each panel (see _tail_panels); zero_temp takes it from v = 0. It ends
+# at y0 = 60: past that the terms are below e^-60 of the first ones.
 _EM_RUNGS = (32, 64, 189)
 _EM_SWITCH = _EM_RUNGS[-1] + 3
 _TAIL_BREAKS = np.array([1e-4, 1e-3, 0.01, 0.05, 0.15, 0.3, 0.5, 0.8,
@@ -416,13 +417,21 @@ _TAIL_PANEL_CAP = 32  # panels _bisect_panels may reach before it gives up
 def _tail_panels(model, gap, zeta1, kind, lo, hi):
     """Tail integral over the v panels [lo, hi], one entry per panel.
 
+    Each panel is integrated by GK15 in t = sqrt(v) on [sqrt(lo),
+    sqrt(hi)], with v = t^2 and u = expm1(v) / kappa. A Drude-like
+    metal's TE term carries a u^{3/2} part at u -> 0 (the origin of the
+    paper's T^{5/2} term), a v^{3/2} endpoint that GK15 in v resolves
+    only after several bisections; in t it is t^3, a polynomial. The
+    panel ends, and so the bisection, stay in v.
+
     Returns (tm, te, gk_err, row_err): Kronrod values, |Kronrod - Gauss|
     summed over both polarizations, and the rows' own quadrature errors
-    weighted by |weight * du/dv|.
+    weighted by |weight * du/dt|.
     """
     kappa = 2.0 * gap * zeta1 / C_LIGHT
-    v, wk, wg = gk_panels(np.stack([lo, hi], axis=-1))
-    jac = np.exp(v) / kappa  # du/dv
+    t, wk, wg = gk_panels(np.sqrt(np.stack([lo, hi], axis=-1)))
+    v = t * t
+    jac = 2.0 * t * np.exp(v) / kappa  # du/dt
     s_tm, s_te, e_tm, e_te = mode_integrals(
         model, gap, zeta1 * (np.expm1(v) / kappa).ravel(), kind)
     f_tm = s_tm.reshape(v.shape) * jac

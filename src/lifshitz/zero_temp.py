@@ -13,9 +13,14 @@ zeta_1 = c / 2a as the unit of the continuous Matsubara index u
 
 which is the integral the Euler-Maclaurin tail of the thermal sum
 takes from its rung M on. The same evaluator (``core._tail_panels``:
-GK15 panels in v = ln(1 + u), each node one ``mode_integrals`` row)
-and the same bisection loop take it from v = 0, on the tail's 14
-panels.
+panels with breaks in v = ln(1 + u), each integrated by GK15 in
+t = sqrt(v), each node one ``mode_integrals`` row) and the same
+bisection loop take it from v = 0, on the tail's 14 panels. The t rule
+matters at the lower end: a Drude-like TE channel carries a u^{3/2}
+term there, which GK15 in v resolves only after bisecting the first
+panels, and which is the polynomial t^3 in t. At gaps of 0.2-8 um,
+Drude, tabulated, plasma and ideal metals all meet tol = 1e-11 on the
+14 panels (210 rows).
 
 For an ideal metal the integral evaluates to -pi^2 hbar c / 720 a^3.
 """
@@ -40,7 +45,7 @@ class ZeroTempResult:
     """F(0) and its parts, J/m^2.
 
     ``evaluations`` counts the ``mode_integrals`` rows evaluated, 15 per
-    v panel, bisected panels included.
+    panel, bisected panels included.
     """
 
     f0: float

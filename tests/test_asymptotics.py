@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -36,6 +37,46 @@ class TestGOfM:
         # g(m) ~ g'(0) m while alpha(m) stays small
         val = _g_many(CTX_COLD, 1e-3)[0]
         assert val == pytest.approx(G_SLOPE_EXACT * 1e-3, rel=2e-2)
+
+    def test_rows_do_not_depend_on_the_block(self):
+        # 521 rows span several row blocks; batches of 7 and single rows
+        # cut them elsewhere, and every row must come out bit-identical
+        system = PlateSystem(1e-6, 0.05, GOLD)
+        m = np.geomspace(1e-4, 200.0, 521)
+        whole = _g_many(system, m)
+        assert np.array_equal(whole, np.concatenate(
+            [_g_many(system, m[i:i + 7]) for i in range(0, m.size, 7)]))
+        assert np.array_equal(whole[::52], [_g_many(system, x)[0] for x in m[::52]])
+
+
+class TestHalfPowerStrength:
+    """The closed form of the T^{5/2} strength (Navot's zeta(-s) form of
+    Euler-Maclaurin): g(m) carries b m^{3/2} with b = alpha(1) I."""
+
+    def test_reflection_integral_is_one_twelfth(self):
+        # I = int_0^inf x^2 B / (1 - B) dx with B = (sqrt(1 + x^2) - x)^4
+        with mpmath.workdps(30):
+            def integrand(x):
+                b = (mpmath.sqrt(1 + x * x) - x) ** 4
+                return x * x * b / (1 - b)
+            value = mpmath.quad(integrand, [0, 1, 10, mpmath.inf])
+            assert abs(value - mpmath.mpf(1) / 12) < mpmath.mpf(1e-15)
+
+    def test_strength_closed_forms_agree(self):
+        # 96 |zeta(-3/2)| I = 8 |zeta(-3/2)| = 3 zeta(5/2) / (2 pi^2)
+        with mpmath.workdps(30):
+            from_zeta = 8 * abs(mpmath.zeta(mpmath.mpf(-3) / 2))
+            from_reflection = 3 * mpmath.zeta(mpmath.mpf(5) / 2) / (2 * mpmath.pi ** 2)
+            assert abs(from_zeta - from_reflection) < mpmath.mpf(1e-25)
+            assert abs(from_zeta - mpmath.mpf("0.2038816151")) < mpmath.mpf(1e-10)
+
+    def test_coefficients_carry_the_strength_within_six_parts_in_ten_thousand(self):
+        # the rounded 0.204 in c2 is 0.06% above the closed form
+        co = coefficients(GOLD, 1e-6)
+        strength = (co.c2 * 4.0 * abs(G_SLOPE_EXACT)
+                    / (1e-6 * math.sqrt(2.0 * math.pi * _c_scale(GOLD, 1.0))))
+        exact = 3.0 * float(mpmath.zeta(2.5)) / (2.0 * math.pi ** 2)
+        assert abs(strength / exact - 1.0) < 6e-4
 
 
 class TestContext:

@@ -220,6 +220,37 @@ class TestSplineAndFit:
         assert fitted.nu == pytest.approx(math.exp(sol.x[1]), rel=1e-9)
 
 
+@pytest.mark.parametrize("where", ["inside", "below", "above", "mixed"])
+def test_table_value_does_not_depend_on_the_batch(where):
+    # inside the table the spline, below and above it the Drude tail:
+    # a zeta gives the same value alone, in a batch or in a column
+    tab = load_permittivity_table(_GOLD_601)
+    lo, hi = tab.zeta[0], tab.zeta[-1]
+    rng = np.random.default_rng(3)
+    inside = np.concatenate([[lo, hi], tab.zeta[::37],
+                             np.exp(rng.uniform(math.log(lo), math.log(hi), 200))])
+    probe = {"inside": inside,
+             "below": lo * np.geomspace(1e-9, 0.999, 40),
+             "above": hi * np.geomspace(1.001, 1e4, 40),
+             "mixed": np.concatenate([inside[:50], lo * np.geomspace(1e-3, 0.5, 5),
+                                      hi * np.geomspace(2.0, 1e3, 5)])}[where]
+    batch = tab.eps_minus_one(probe)
+    one_by_one = np.array([tab.eps_minus_one(z) for z in probe])
+    column = tab.eps_minus_one(probe[:, None])
+    assert np.array_equal(batch, one_by_one)
+    assert column.shape == (probe.size, 1) and np.array_equal(column[:, 0], batch)
+    assert all(type(tab.eps_minus_one(float(z))) is float for z in probe[:3])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e14])
+def test_table_rejects_an_invalid_zeta_next_to_valid_ones(bad):
+    # a bad zeta fails alone or in a batch that is otherwise inside the table
+    tab = load_permittivity_table(_GOLD_601)
+    for zeta in (bad, [1e14, bad], [[1e14], [bad]]):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            tab.eps_minus_one(zeta)
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("build", [
     lambda x: DrudeModel(x, 1.0), lambda x: DrudeModel(1.0, x),

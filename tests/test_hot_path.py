@@ -193,6 +193,22 @@ def test_tail_bisects_then_gives_way_to_the_direct_sum(monkeypatch):
     assert direct.pressure == pytest.approx(pressure(system, tol=1e-6).pressure, rel=1e-10)
 
 
+def test_cryogenic_tail_evaluates_the_pinned_rows(monkeypatch):
+    # the 0.2 um, 0.1 K stress case: 35 block rows (m = 1 .. M + 3) and
+    # 12 tail panels of 15 rows, with no bisection at tol = 1e-6
+    rows = []
+    real_modes = core.mode_integrals
+
+    def counting(model, gap, zetas, kind="energy"):
+        rows.append(np.size(zetas))
+        return real_modes(model, gap, zetas, kind)
+
+    monkeypatch.setattr(core, "mode_integrals", counting)
+    res = pressure(PlateSystem(0.2e-6, 0.1, GOLD), tol=1e-6)
+    assert res.m_max == 32
+    assert sum(rows) == 35 + 12 * 15
+
+
 def test_non_finite_tail_row_stops_the_sum(monkeypatch):
     system = PlateSystem(1e-6, 1.0, GOLD)
     with pytest.raises(ConvergenceError) as head:  # rows 0..32, short of the first stencil

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifshitz.constants import C_LIGHT, HBAR
-from lifshitz.core import IdealMetal, PlateSystem
-from lifshitz.dispersion import GOLD, PlasmaModel, TabulatedPermittivity
+from lifshitz.core import IdealMetal, PlateSystem, mode_integrals
+from lifshitz.dispersion import GOLD, PlasmaModel, TabulatedPermittivity, load_permittivity_table
 from lifshitz.errors import ConvergenceError
 from lifshitz import zero_temp
+from lifshitz.quadrature import gk_panels
 from lifshitz.zero_temp import free_energy_T0, ideal_metal_T0
+
+_GOLD_601 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "gold_drude_601.txt"
 
 
 def test_ideal_metal_closed_form():
@@ -126,15 +130,49 @@ def test_ideal_metal_error_estimate_bounds_the_error(gap, tol):
 
 def test_eval_rects_is_the_live_panel_evaluator(monkeypatch):
     # free_energy_T0 looks the evaluator up at call time, so a patch of
-    # the module binding (as a tracer installs) sees every panel batch
+    # the module binding (as a tracer installs) sees every panel batch,
+    # bisected ones included. The first batch's |Kronrod - Gauss| is
+    # inflated so that the call has to bisect.
     calls = []
     real = zero_temp._eval_rects
 
     def counting(model, gap, lo, hi):
+        tm, te, gk_err, row_err = real(model, gap, lo, hi)
+        if not calls:
+            gk_err = 1e4 * gk_err
         calls.append(lo.size)
-        return real(model, gap, lo, hi)
+        return tm, te, gk_err, row_err
 
+    plain = free_energy_T0(1e-6, GOLD, tol=1e-11)
     monkeypatch.setattr(zero_temp, "_eval_rects", counting)
     res = free_energy_T0(1e-6, GOLD, tol=1e-11)
-    assert calls[0] == 14 and all(n == 8 for n in calls[1:])
+    assert calls[0] == 14 and calls[1:] and all(n == 8 for n in calls[1:])
     assert res.evaluations == 15 * sum(calls)
+    assert abs(res.f0 - plain.f0) <= 1e-11 * abs(plain.f0)
+
+
+def _dense_t_reference(model, gap, panels=150):
+    """F(0) on ``panels`` equal GK15 panels in t = sqrt(v) up to y0 = 60.
+
+    Uniform in t from t = 0, so the u^{3/2} term of a Drude-like TE
+    channel is a polynomial on every panel, independent of the v breaks.
+    """
+    t, wk, _ = gk_panels(np.linspace(0.0, math.sqrt(math.log(61.0)), panels + 1))
+    v = t * t
+    s_tm, s_te, _, _ = mode_integrals(model, gap, (C_LIGHT / (2.0 * gap)) * np.expm1(v))
+    integral = math.fsum((s_tm + s_te) * 2.0 * t * np.exp(v) * wk)
+    return HBAR * C_LIGHT / (32.0 * math.pi ** 2 * gap ** 3) * integral
+
+
+@pytest.mark.parametrize("gap", [0.2e-6, 1e-6, 8e-6])
+@pytest.mark.parametrize("name", ["drude", "table-601"])
+def test_drude_like_metals_converge_on_the_initial_panels(name, gap):
+    # GK15 in t = sqrt(v) integrates the u^{3/2} term of the TE channel
+    # exactly, so even tol = 1e-11 needs no bisection of the 14 panels
+    model = GOLD if name == "drude" else load_permittivity_table(_GOLD_601)
+    tol = 1e-11
+    res = free_energy_T0(gap, model, tol=tol)
+    assert res.evaluations == 210
+    reference = _dense_t_reference(model, gap)
+    bound = 1e-14 if name == "drude" else tol
+    assert abs(res.f0 - reference) <= bound * abs(reference)
