@@ -21,7 +21,8 @@ from .constants import ev_to_rad_per_s
 from .core import PlateSystem, coefficient_surface, free_energy, pressure
 from .dispersion import (DrudeModel, PlasmaModel, load_permittivity_table)
 from .errors import LifshitzError
-from .thermo import collect_lowtemp_samples, entropy, fit_low_temp, r_series
+from .thermo import (collect_lowtemp_samples, default_fit_grid,
+                     delta_f_te_numeric, entropy, fit_low_temp, r_series)
 from .zero_temp import free_energy_T0
 
 # reference |P| in mPa for gold half-spaces (Drude, omega_p = 9.03 eV,
@@ -190,7 +191,7 @@ def cmd_free_energy(args):
 
 def cmd_zero_temp(args):
     model = build_model(args)
-    res = free_energy_T0(args.gap, model, tol=min(args.tol, 1e-6))
+    res = free_energy_T0(args.gap, model, tol=args.tol)
     em = Emitter(_config_dict(args, gap_m=args.gap, tol=args.tol),
                  ["gap_m", "free_energy_J_m2", "tm_part_J_m2",
                   "te_part_J_m2", "error_estimate_J_m2", "evaluations"])
@@ -279,7 +280,6 @@ def cmd_r_series(args):
     model = build_model(args)
     if not isinstance(model, DrudeModel):
         raise ValueError("r-series requires --material drude")
-    from .thermo import delta_f_te_numeric, default_fit_grid
     grid = parse_range(args.temp) if args.temp else default_fit_grid()
     co = coefficients(model, args.gap)
 

@@ -8,23 +8,10 @@ cross the API boundary in eV and are converted here, once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants in SI units."""
-
-    hbar: float = 1.054571817e-34  # J s
-    c: float = 2.99792458e8        # m / s
-    k_B: float = 1.380649e-23      # J / K
-
-
-CONSTANTS = PhysicalConstants()
-
-HBAR = CONSTANTS.hbar
-C_LIGHT = CONSTANTS.c
-K_BOLTZMANN = CONSTANTS.k_B
+HBAR = 1.054571817e-34  # J s
+C_LIGHT = 2.99792458e8  # m / s
+K_BOLTZMANN = 1.380649e-23  # J / K
 
 # elementary charge, exact by SI definition
 E_CHARGE = 1.602176634e-19  # C

@@ -266,26 +266,14 @@ def reflection_coefficients(model: ReflectionModel, zeta, q) -> ReflectionPair:
     if not (np.all(np.isfinite(zeta)) and np.all(np.isfinite(q))):
         raise ValueError("zeta and q must be finite")
     if np.any(zeta <= 0.0):
-        raise ValueError("zeta must be > 0; use zero_mode_coefficients for m = 0")
+        raise ValueError("zeta must be > 0; the m = 0 limits are the model's "
+                         "zero_mode_log_reflection(q)")
     if np.any(q * C_LIGHT < zeta * (1.0 - 1e-12)):
         raise ValueError("q must be >= zeta/c (evanescent-side domain)")
     p = np.maximum(q * C_LIGHT / zeta, 1.0)
-    return _reflection_pair(_log_reflection(model, zeta, p), p.shape)
-
-
-def zero_mode_coefficients(model: ReflectionModel, q) -> ReflectionPair:
-    """Analytic zeta -> 0 limits of (A, B) at transverse wavenumber q."""
-    q = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(q)):
-        raise ValueError("q must be finite")
-    if np.any(q <= 0.0):
-        raise ValueError("q must be > 0")
-    return _reflection_pair(model.zero_mode_log_reflection(q), q.shape)
-
-
-def _reflection_pair(logs, shape) -> ReflectionPair:
-    """exp of (ln A, ln B), None read as R = 0; floats at a scalar point."""
-    a, b = (np.zeros(shape) if ln is None else np.exp(ln) for ln in logs)
+    # a None log is a channel with R identically 0
+    a, b = (np.zeros(p.shape) if ln is None else np.exp(ln)
+            for ln in _log_reflection(model, zeta, p))
     if a.ndim == 0:
         return ReflectionPair(float(a), float(b))
     return ReflectionPair(a, b)
@@ -654,17 +642,21 @@ def _raise_non_finite(kept, what: str):
                            best_estimate=_partial_sum(kept), error_estimate=math.inf)
 
 
+def _prefactor(system: PlateSystem, kind: str) -> float:
+    """sign k T / (8 pi a^p) of ``_KINDS``: k T / 8 pi a^2 or -k T / 8 pi a^3."""
+    _, power, sign = _KINDS[kind]
+    return sign * (K_BOLTZMANN * system.temperature) / (8.0 * math.pi * system.gap ** power)
+
+
 def _thermal_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
     """Free energy (``kind`` "energy") or pressure ("pressure") from the sum.
 
-    Applies the prefactor of ``_KINDS``, k T / 8 pi a^2 or
-    -k T / 8 pi a^3, to the reduced terms, tail and error estimates of
-    ``_matsubara_sum``.
+    Applies ``_prefactor`` to the reduced terms, tail and error estimates
+    of ``_matsubara_sum``.
     """
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol must be in (0, 1e-4], got {tol}")
-    _, power, sign = _KINDS[kind]
-    pref = sign * (K_BOLTZMANN * system.temperature) / (8.0 * math.pi * system.gap ** power)
+    pref = _prefactor(system, kind)
     try:
         terms_tm, terms_te, last_m, tail, (tail_tm, tail_te) = _matsubara_sum(
             system, kind, tol, m_max)

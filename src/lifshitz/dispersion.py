@@ -39,7 +39,8 @@ from .errors import TableFormatError
 
 def _validated_zeta(zeta):
     z = np.asarray(zeta, dtype=float)
-    if np.any(z <= 0.0) or not np.all(np.isfinite(z)):
+    # NaN fails both comparisons
+    if z.size and not (z.min() > 0.0 and z.max() < math.inf):
         raise ValueError("imaginary frequency zeta must be finite and > 0 rad/s")
     return z
 
@@ -74,11 +75,6 @@ class DrudeModel:
         # eps ~ 1/zeta: TM saturates at 1, the TE mode dies with
         # zeta^2 (eps - 1) -> 0
         return np.zeros_like(q), None
-
-    @property
-    def plasma_wavelength(self) -> float:
-        """2 pi c / omega_p in metres."""
-        return 2.0 * math.pi * C_LIGHT / self.omega_p
 
 
 @dataclass(frozen=True)

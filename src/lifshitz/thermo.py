@@ -1,4 +1,4 @@
-"""Thermodynamic analysis: thermal shifts, entropy, and limit checks.
+"""Thermodynamic analysis: thermal shifts, entropy, and the classical limit.
 
 The thermal part of the free energy is tiny against the T = 0 value at
 low temperature, so it is never formed as a difference of two large
@@ -36,9 +36,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .asymptotics import AsymptoticCoefficients, _c_scale, _g_many, pade_delta_f
-from .constants import C_LIGHT, HBAR, K_BOLTZMANN, ZETA3, matsubara_frequency
-from .core import (_KINDS, PlateSystem, ReflectionModel, _gk_integrate, mode_integrals,
-                   pressure, zero_mode_integrals)
+from .constants import K_BOLTZMANN, ZETA3, matsubara_frequency
+from .core import (PlateSystem, _gk_integrate, _prefactor, mode_integrals,
+                   zero_mode_integrals)
 from .dispersion import DrudeModel
 from .errors import PrecisionError, RegimeError
 from .quadrature import euler_maclaurin_endpoint, fsum, gk_panels
@@ -143,11 +143,10 @@ def _thermal_shift(system: PlateSystem, kind: str, polarization: str) -> float:
 
     S is the reduced integral of ``kind`` ("energy" or "pressure") for
     the chosen polarization; the m = 0 value is the zero mode. The
-    power and sign are those of ``core._KINDS``.
+    prefactor is ``core._prefactor``.
     """
     if polarization not in ("both", "tm", "te"):
         raise ValueError(f"polarization must be both/tm/te, got {polarization!r}")
-    _, power, sign = _KINDS[kind]
     model, gap, temp = system.model, system.gap, system.temperature
     zeta1 = matsubara_frequency(1, temp)
     s0_tm, s0_te = zero_mode_integrals(model, gap, kind)
@@ -167,8 +166,7 @@ def _thermal_shift(system: PlateSystem, kind: str, polarization: str) -> float:
         raise PrecisionError(
             f"{_SHIFT_NAMES[kind]} {delta:.3e} is below 50 times its error floor {floor:.3e}; "
             "temperature too low to resolve")
-    pref = sign * (K_BOLTZMANN * temp) / (8.0 * math.pi * gap ** power)
-    return pref * delta
+    return _prefactor(system, kind) * delta
 
 
 def free_energy_shift(system: PlateSystem, polarization: str = "both") -> float:
@@ -209,19 +207,21 @@ def fit_low_temp(samples: Sequence) -> LowTempFit:
     """Weighted least-squares fit of the low-temperature shift model.
 
     ``samples`` is a sequence of (T, dF) pairs, at least 8 of them,
-    with finite dF, strictly increasing in T and spanning at least a
-    decade. The fit
-    runs in tau = sqrt(T / T_max), where the basis {tau^4, tau^5,
-    tau^6} is mildly conditioned. Rows are weighted by 1/T^2 beyond
-    the 1/T^2 that equalizes relative residuals: the extra emphasis on
-    small T keeps terms outside the basis (T^{7/2} and up, strongest
-    at the top of the window) from biasing the T^{5/2} coefficient.
+    with finite T > 0 and finite dF, strictly increasing in T and
+    spanning at least a decade. The fit runs in tau = sqrt(T / T_max),
+    where the basis {tau^4, tau^5, tau^6} is mildly conditioned. Rows
+    are weighted by 1/T^2 beyond the 1/T^2 that equalizes relative
+    residuals: the extra emphasis on small T keeps terms outside the
+    basis (T^{7/2} and up, strongest at the top of the window) from
+    biasing the T^{5/2} coefficient.
     """
     pts = [(float(t), float(df)) for t, df in samples]
     if len(pts) < 8:
         raise ValueError(f"need at least 8 samples, got {len(pts)}")
     t = np.array([p[0] for p in pts])
     df = np.array([p[1] for p in pts])
+    if not np.all(np.isfinite(t) & (t > 0.0)):
+        raise ValueError("sample temperatures must be finite and > 0 K")
     if not np.all(np.isfinite(df)):
         raise ValueError(f"dF is not finite at T = {t[np.argmin(np.isfinite(df))]} K")
     if not np.all(np.diff(t) > 0.0):
@@ -359,24 +359,3 @@ def entropy(system: PlateSystem, tol: float = 1e-9) -> float:
 def classical_pressure(gap: float, temperature: float) -> float:
     """High-temperature Drude limit -zeta(3) k T / (8 pi a^3), Pa."""
     return -ZETA3 * K_BOLTZMANN * temperature / (8.0 * math.pi * gap ** 3)
-
-
-def classical_limit_check(gap: float, temperature: float,
-                          model: ReflectionModel | None = None) -> float:
-    """Ratio of the computed pressure to the classical Drude limit.
-
-    Requires the deep classical regime 2 pi k T a / (hbar c) >= 5. For
-    a Drude metal only the half-weighted TM zero mode survives and the
-    ratio approaches 1; an ideal metal keeps the TE zero mode too and
-    doubles the reference.
-    """
-    margin = 2.0 * math.pi * K_BOLTZMANN * temperature * gap / (HBAR * C_LIGHT)
-    if margin < 5.0:
-        raise RegimeError(
-            f"2 pi k T a / (hbar c) = {margin:.2f} < 5: not in the deep "
-            "classical regime")
-    from .dispersion import GOLD
-    system = PlateSystem(gap=gap, temperature=temperature,
-                         model=GOLD if model is None else model)
-    p = pressure(system, tol=1e-9)
-    return p.pressure / classical_pressure(gap, temperature)

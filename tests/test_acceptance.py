@@ -16,7 +16,7 @@ from lifshitz.constants import TWO_LN2_MINUS_1
 from lifshitz.core import (IdealMetal, PlateSystem, TmOnlyIdealMetal,
                            free_energy, pressure)
 from lifshitz.dispersion import GOLD, TabulatedPermittivity
-from lifshitz.thermo import (classical_limit_check, collect_lowtemp_samples,
+from lifshitz.thermo import (classical_pressure, collect_lowtemp_samples,
                              default_fit_grid, delta_f_te_numeric, entropy,
                              fit_low_temp, pressure_shift, r_series)
 from lifshitz.zero_temp import free_energy_T0, ideal_metal_T0
@@ -131,10 +131,15 @@ def test_criterion_6_entropy_vanishing():
 
 
 def test_criterion_7_classical_limit():
-    gold_ratio = classical_limit_check(8e-6, 1000.0)
-    forced = classical_limit_check(8e-6, 1000.0, model=TmOnlyIdealMetal())
-    ideal = classical_limit_check(8e-6, 1000.0, model=IdealMetal())
-    half = classical_limit_check(8e-6, 1000.0) / ideal
+    def ratio(model):
+        # computed pressure over the classical limit at 8 um, 1000 K
+        p = pressure(PlateSystem(8e-6, 1000.0, model), tol=1e-9).pressure
+        return p / classical_pressure(8e-6, 1000.0)
+
+    gold_ratio = ratio(GOLD)
+    forced = ratio(TmOnlyIdealMetal())
+    ideal = ratio(IdealMetal())
+    half = gold_ratio / ideal
     ok = report(
         7, "classical limit",
         0.95 <= gold_ratio <= 1.0 + 1e-12 and abs(forced - 1.0) < 1e-9

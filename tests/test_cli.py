@@ -212,6 +212,12 @@ class TestFailureModes:
                              "--material", "table", "--table-path", "/nonexistent.tab")
         assert rc == 1
 
+    def test_zero_temp_applies_its_tol(self, capsys):
+        # 0.1 is outside free_energy_T0's range, so the run must fail
+        rc, out, err = run_cli(capsys, "zero-temp", "--gap", "1e-6", "--tol", "0.1")
+        assert (rc, out) == (1, "")
+        assert "tol must be in (0, 1e-2]" in err
+
     def test_asymptotics_rejects_plasma(self, capsys):
         # the three commands of the low-temperature expansion
         for command in ("asymptotics", "fit-lowtemp", "r-series"):

@@ -2,9 +2,8 @@ import math
 
 import pytest
 
-from lifshitz.constants import (CONSTANTS, C_LIGHT, HBAR, K_BOLTZMANN,
-                                TWO_LN2_MINUS_1, ZETA3, ev_to_rad_per_s,
-                                matsubara_frequency)
+from lifshitz.constants import (C_LIGHT, HBAR, K_BOLTZMANN, TWO_LN2_MINUS_1,
+                                ZETA3, ev_to_rad_per_s, matsubara_frequency)
 
 
 def test_si_values():
@@ -38,14 +37,6 @@ def test_matsubara_frequency():
     assert zeta1 / 300.0 == pytest.approx(8.2254e11, rel=1e-4)
     assert matsubara_frequency(0, 300.0) == 0.0
     assert matsubara_frequency(7, 100.0) == pytest.approx(7 * matsubara_frequency(1, 100.0))
-
-
-def test_constants_frozen():
-    assert CONSTANTS.hbar == HBAR
-    assert CONSTANTS.c == C_LIGHT
-    assert CONSTANTS.k_B == K_BOLTZMANN
-    with pytest.raises(AttributeError):
-        CONSTANTS.hbar = 1.0
 
 
 def test_ev_conversion_rejects_negative():

@@ -42,10 +42,6 @@ class TestDrude:
         small = z ** 2 * GOLD.eps_minus_one(z)
         assert small == pytest.approx(1e-3 * GOLD.omega_p ** 2 / GOLD.nu, rel=1e-6)
 
-    def test_plasma_wavelength(self):
-        # lambda_p = 2 pi c / omega_p, about 137 nm for gold
-        assert GOLD.plasma_wavelength == pytest.approx(137.3e-9, rel=1e-3)
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             DrudeModel(0.0, 1.0)
@@ -244,11 +240,14 @@ def test_table_value_does_not_depend_on_the_batch(where):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e14])
 def test_table_rejects_an_invalid_zeta_next_to_valid_ones(bad):
-    # a bad zeta fails alone or in a batch that is otherwise inside the table
-    tab = load_permittivity_table(_GOLD_601)
-    for zeta in (bad, [1e14, bad], [[1e14], [bad]]):
-        with pytest.raises(ValueError, match="finite and > 0"):
-            tab.eps_minus_one(zeta)
+    # a bad zeta fails alone or in a batch that is otherwise inside the
+    # table; the analytic models share the check
+    models = (load_permittivity_table(_GOLD_601), GOLD, PlasmaModel(GOLD.omega_p),
+              ConstantPermittivity(4.0))
+    for model in models:
+        for zeta in (bad, [1e14, bad], [[1e14], [bad]]):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                model.eps_minus_one(zeta)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

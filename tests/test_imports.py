@@ -1,9 +1,11 @@
 """No module of the package imports a name it does not use or keeps a dead private one,
-and importing the package, building the CLI parser, loading a table or making a
-table-backed call leaves scipy unloaded."""
+the README imports from ``lifshitz`` only names of ``lifshitz.__all__``, and importing
+the package, building the CLI parser, loading a table or making a table-backed call
+leaves scipy unloaded."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +76,30 @@ def test_the_check_sees_an_unread_private_name():
 
 def test_no_unread_private_name():
     assert unread_private_names([p.read_text() for p in sorted(_PACKAGE.glob("*.py"))]) == []
+
+
+def readme_imports(text: str) -> list:
+    """Names the python blocks of a README import with ``from lifshitz import``."""
+    names = []
+    for block in re.findall(r"```python\n(.*?)```", text, flags=re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "lifshitz":
+                names.extend(a.name for a in node.names)
+    return names
+
+
+def test_the_check_sees_a_readme_import():
+    text = ("```python\nfrom lifshitz import (GOLD,\n    pressure)\n```\n"
+            "```sh\nfrom lifshitz import shell\n```\n"
+            "```python\nfrom lifshitz.core import mode_integrals\nimport lifshitz\n```\n")
+    assert readme_imports(text) == ["GOLD", "pressure"]
+
+
+def test_readme_imports_only_public_names():
+    import lifshitz
+
+    names = readme_imports((_PACKAGE.parent.parent / "README.md").read_text())
+    assert names and sorted(set(names) - set(lifshitz.__all__)) == []
 
 
 # scipy.interpolate alone costs most of a second and about 50 MB at

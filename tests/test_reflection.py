@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from lifshitz.constants import C_LIGHT
 from lifshitz.core import (IdealMetal, PlateSystem, TmOnlyIdealMetal, _log_reflection,
                            coefficient_surface, free_energy, pressure,
-                           reflection_coefficients, zero_mode_coefficients,
-                           zero_mode_integrals)
+                           reflection_coefficients, zero_mode_integrals)
 from lifshitz.dispersion import (GOLD, ConstantPermittivity, PlasmaModel,
                                  TabulatedPermittivity)
 from lifshitz.thermo import free_energy_shift
@@ -27,6 +26,13 @@ ZERO_MODE_MODELS = {
     "ideal": IdealMetal(),
     "tm_only": TmOnlyIdealMetal(),
 }
+
+
+def zero_mode_pair(model, q):
+    """(A0, B0): exp of the model's zero-mode logs, 0 for a channel whose R is 0."""
+    q = np.asarray(q, dtype=float)
+    return tuple(np.zeros_like(q) if ln is None else np.exp(ln)
+                 for ln in model.zero_mode_log_reflection(q))
 
 
 def naive_pair(eps, zeta, q):
@@ -110,51 +116,47 @@ class TestLimits:
 
 class TestZeroMode:
     def test_drude_te_dies(self):
-        pair = zero_mode_coefficients(GOLD, 1e6)
-        assert pair.a_tm == 1.0
-        assert pair.b_te == 0.0
+        a0, b0 = zero_mode_pair(GOLD, 1e6)
+        assert a0 == 1.0
+        assert b0 == 0.0
 
     def test_tabulated_follows_drude(self):
         z = np.geomspace(1e13, 1e17, 100)
         tab = TabulatedPermittivity(z, GOLD.epsilon(z))
-        pair = zero_mode_coefficients(tab, 1e6)
-        assert pair.a_tm == 1.0
-        assert pair.b_te == 0.0
+        a0, b0 = zero_mode_pair(tab, 1e6)
+        assert a0 == 1.0
+        assert b0 == 0.0
 
     def test_plasma_te_survives(self):
         model = PlasmaModel(GOLD.omega_p)
         kappa = GOLD.omega_p / C_LIGHT
         for q in (0.1 * kappa, kappa, 10.0 * kappa):
-            pair = zero_mode_coefficients(model, q)
+            a0, b0 = zero_mode_pair(model, q)
             root = math.sqrt(q * q + kappa * kappa)
             expected = ((root - q) / (root + q)) ** 2
-            assert pair.a_tm == 1.0
-            assert pair.b_te == pytest.approx(expected, rel=1e-12)
-            assert 0.0 < pair.b_te < 1.0
+            assert a0 == 1.0
+            assert b0 == pytest.approx(expected, rel=1e-12)
+            assert 0.0 < b0 < 1.0
 
     def test_constant_permittivity(self):
         eps = 4.0
-        pair = zero_mode_coefficients(ConstantPermittivity(eps), 1e6)
-        assert pair.a_tm == pytest.approx(((eps - 1.0) / (eps + 1.0)) ** 2, rel=1e-14)
-        assert pair.b_te == 0.0
+        a0, b0 = zero_mode_pair(ConstantPermittivity(eps), 1e6)
+        assert a0 == pytest.approx(((eps - 1.0) / (eps + 1.0)) ** 2, rel=1e-14)
+        assert b0 == 0.0
 
     def test_ideal_metal_keeps_both(self):
-        pair = zero_mode_coefficients(IdealMetal(), 1e6)
-        assert pair.a_tm == 1.0
-        assert pair.b_te == 1.0
+        a0, b0 = zero_mode_pair(IdealMetal(), 1e6)
+        assert a0 == 1.0
+        assert b0 == 1.0
 
     @pytest.mark.parametrize("name", ZERO_MODE_MODELS)
     def test_coefficients_are_exp_of_the_log_form(self, name):
+        # the log form is the zeta -> 0 limit of the coefficients at zeta > 0
         model = ZERO_MODE_MODELS[name]
         q = np.geomspace(1e5, 1e8, 4)
-        logs = model.zero_mode_log_reflection(q)
-        pair = zero_mode_coefficients(model, q)
-        for got, ln in zip((pair.a_tm, pair.b_te), logs):
-            np.testing.assert_array_equal(got, np.zeros_like(q) if ln is None else np.exp(ln))
-        scalar = zero_mode_coefficients(model, q[1])
-        assert type(scalar.a_tm) is float and type(scalar.b_te) is float
-        assert scalar.a_tm == pytest.approx(pair.a_tm[1], rel=1e-15, abs=0.0)
-        assert scalar.b_te == pytest.approx(pair.b_te[1], rel=1e-15, abs=0.0)
+        pair = reflection_coefficients(model, 1.0, q)
+        for got, want in zip((pair.a_tm, pair.b_te), zero_mode_pair(model, q)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_ideal_metal_channels_do_not_share_memory(self):
         # the energy and pressure kernels overwrite ln A and ln B in place
@@ -169,10 +171,10 @@ class TestZeroMode:
         tab = TabulatedPermittivity(_TABLE_ZETA, plasma.epsilon(_TABLE_ZETA),
                                     low_freq_model=plasma)
         q = np.geomspace(1e5, 1e8, 4)
-        got, want = zero_mode_coefficients(tab, q), zero_mode_coefficients(plasma, q)
-        np.testing.assert_array_equal(got.a_tm, want.a_tm)
-        np.testing.assert_array_equal(got.b_te, want.b_te)
-        assert np.all(got.b_te > 0.0)  # the TE zero mode a fitted Drude tail would drop
+        got, want = zero_mode_pair(tab, q), zero_mode_pair(plasma, q)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert np.all(got[1] > 0.0)  # the TE zero mode a fitted Drude tail would drop
         assert zero_mode_integrals(tab, 1e-6) == zero_mode_integrals(plasma, 1e-6)
 
     def test_model_without_a_zero_mode_fails_at_once(self):
@@ -209,18 +211,20 @@ class TestValidation:
             reflection_coefficients(GOLD, zeta, 0.5 * zeta / C_LIGHT)
 
     def test_zero_frequency_redirected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero_mode_log_reflection"):
             reflection_coefficients(GOLD, 0.0, 1e6)
+
+    def test_empty_points_give_empty_arrays(self):
+        pair = reflection_coefficients(GOLD, [], [])
+        assert pair.a_tm.shape == pair.b_te.shape == (0,)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("call", [
         lambda x: reflection_coefficients(GOLD, x, 1e7),
         lambda x: reflection_coefficients(GOLD, 1e13, [1e5, x]),
-        lambda x: zero_mode_coefficients(GOLD, [1e5, x]),
         lambda x: coefficient_surface(GOLD, [1e13, x], [1e5]),
         lambda x: coefficient_surface(GOLD, [1e13], [1e5, x]),
-    ], ids=["reflection_zeta", "reflection_q", "zero_mode_q", "surface_zeta",
-            "surface_kperp"])
+    ], ids=["reflection_zeta", "reflection_q", "surface_zeta", "surface_kperp"])
     def test_non_finite_point_rejected(self, call, value):
         with pytest.raises(ValueError, match="finite"):
             call(value)
@@ -256,6 +260,6 @@ def test_bounds_and_ordering(log_zeta, log_p):
 @settings(max_examples=60, deadline=None)
 def test_zero_mode_bounds(q):
     for model in (GOLD, PlasmaModel(GOLD.omega_p), IdealMetal()):
-        pair = zero_mode_coefficients(model, q)
-        assert 0.0 <= pair.b_te <= 1.0
-        assert 0.0 <= pair.a_tm <= 1.0
+        a0, b0 = zero_mode_pair(model, q)
+        assert 0.0 <= b0 <= 1.0
+        assert 0.0 <= a0 <= 1.0
