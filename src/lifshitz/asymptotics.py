@@ -11,6 +11,14 @@ alpha(m) = 2 a sqrt(2 pi C m), and the universal reflection profile
 
     B(x) = (sqrt(1 + x^2) - x)^4 = exp(-4 asinh x).
 
+g is the exact TE reduced integral of ``core`` for one more material,
+eps - 1 = D / zeta (Drude at zeta << nu, the normal skin effect). With
+x = q c / sqrt(D zeta), (s - p) / (s + p) = (sqrt(1 + x^2) - x)^2, so
+R_TE = B(x); the lower limit x_min = sqrt(zeta_m / D) is q = zeta / c,
+alpha(m) x = 2 q a = y, and g(m) = S_TE(zeta_m) / (8 pi a^2 C).
+``_g_many`` therefore takes g from ``core.mode_integrals``, with only
+the TE channel asked for; the expansion has no evaluator of its own.
+
 Replacing the sum by an integral over continuous m recovers the T = 0
 limit, so the low-temperature correction is the Euler-Maclaurin
 difference sum' g - integral g. Its leading term gives
@@ -34,8 +42,8 @@ import numpy as np
 
 from .constants import (C_LIGHT, HBAR, K_BOLTZMANN, TWO_LN2_MINUS_1,
                         matsubara_frequency)
-from .core import _ROW_CAP, PlateSystem
-from .dispersion import DrudeModel
+from .core import PlateSystem, mode_integrals
+from .dispersion import DrudeModel, _validated_zeta
 from .quadrature import gl_panels, log1mexp
 
 # g'(0) = integral_0^inf x ln(1 - B) dx in closed form
@@ -70,38 +78,27 @@ class AsymptoticCoefficients:
             raise ValueError(f"coefficients must be finite and > 0, got {self}")
 
 
+@dataclass(frozen=True)
+class _SkinEffectMetal:
+    """eps - 1 = D / zeta, D = omega_p^2 / nu in rad/s: a DrudeModel's
+    dc-conductivity limit, whose TE reduced integral gives g."""
+
+    d: float
+
+    def eps_minus_one(self, zeta):
+        return self.d / _validated_zeta(zeta)
+
+    zero_mode_log_reflection = DrudeModel.zero_mode_log_reflection
+
+
 def _g_many(system: PlateSystem, m):
-    """Vectorized g(m) for continuous m > 0 at the system's gap and temperature.
-
-    The x mesh is geometric from the lower limit out to the point where
-    either the exponential or the x^{-4} decay of B has exhausted the
-    integrand; every mesh quantity varies smoothly with m so that batch
-    results can be differenced between sums and integrals. 28 panels of
-    12 Gauss-Legendre nodes (336 per row) agree with a 56 x 16 mesh to
-    1.7e-15 relative for m in [1e-4, 200], gaps 0.2-8 um and T from
-    1 mK to 0.2 K.
-
-    Rows are evaluated ``core._ROW_CAP`` at a time, as in
-    ``mode_integrals``: a (rows, 336) temporary is then 0.17 MB instead
-    of the 1.4 MB of a 521-row batch, whose fresh pages cost more than
-    the arithmetic. A row's value does not depend on its block.
-    """
+    """g(m) for continuous m > 0 at the system's gap and temperature: the TE
+    column of ``core.mode_integrals`` for ``_SkinEffectMetal``, over 8 pi a^2 C."""
     model, temp = system.model, system.temperature
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    alpha = 2.0 * system.gap * np.sqrt(2.0 * math.pi * _c_scale(model, temp) * m)
-    x_min = np.sqrt(matsubara_frequency(m, temp) / (model.omega_p ** 2 / model.nu))
-    x_max = np.minimum(50.0 / alpha + 2.0 * x_min, 4e5)
-    panels = 28
-    ratio = (x_max / x_min) ** (1.0 / panels)
-    powers = np.arange(panels + 1)[None, :]
-    out = np.empty_like(m)
-    for lo in range(0, m.size, _ROW_CAP):
-        rows = slice(lo, lo + _ROW_CAP)
-        nodes, weights = gl_panels(x_min[rows, None] * ratio[rows, None] ** powers, n=12)
-        w = alpha[rows, None] * nodes + 4.0 * np.arcsinh(nodes)
-        vals = nodes * log1mexp(w, out=w)
-        out[rows] = (vals * weights).sum(axis=1)
-    return m * out
+    scale = 8.0 * math.pi * system.gap ** 2 * _c_scale(model, temp)
+    _, s_te, _, _ = mode_integrals(_SkinEffectMetal(model.omega_p ** 2 / model.nu),
+                                   system.gap, matsubara_frequency(m, temp), "energy", "te")
+    return s_te / scale
 
 
 def te_slope_integral() -> float:

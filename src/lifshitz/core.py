@@ -34,13 +34,14 @@ agrees with the dense one to roundoff.
 The sum is evaluated in blocks of terms sized from their decay,
 e^{-kappa m} with kappa = 2 a zeta_1 / c. It stops at the first term
 smaller than the one before (or exactly zero, once it underflows) for
-which both the term and its geometric tail are below tol |sum| / 10;
-this covers room temperature and most sums above a few kelvin. A sum
-predicted to stop by m = 192 runs its first block to the prediction
-(8 to 64 terms). A longer one (cryogenic temperatures, where a direct
-sum needs 10^3 to 10^5 terms) keeps m = 0..M explicit, at the first
-rung M of the ladder 32, 64, 189 whose remainder bound meets tol, and
-gets the rest from the Euler-Maclaurin formula
+which both the term and its geometric tail are at most tol |sum| / 10,
+so a sum of zeros (R identically 0) stops too; this covers room
+temperature and most sums above a few kelvin. A sum predicted to stop
+by m = 192 runs its first block to the prediction (8 to 64 terms). A
+longer one (cryogenic temperatures, where a direct sum needs 10^3 to
+10^5 terms) keeps m = 0..M explicit, at the first rung M of the ladder
+32, 64, 189 whose remainder bound meets tol, and gets the rest from the
+Euler-Maclaurin formula
 
     sum_{m>M} h(m) = Integral_M^inf h(u) du - h(M)/2 - h'(M)/12
                      + h'''(M)/720 - h^(5)(M)/30240,
@@ -189,16 +190,14 @@ def _reference_mesh(offsets):
     return nodes, wk.reshape(shape), wg.reshape(shape)
 
 
-# Every row's mesh is one of these tables shifted by its own y0, so the
-# panel widths and both weight sets are row-independent: nodes and
-# weights are built once here and rows only add y0 to the reference nodes.
+# built once: a row's mesh is one of these shifted by its own y0
 _DENSE_MESH = _reference_mesh(_Y_OFFSETS)
 _LEAN_MESH = _reference_mesh(_LEAN_OFFSETS)
 
-# rows per evaluation in mode_integrals (and asymptotics._g_many), so
-# that a (rows, 435) float temporary is 0.2 MB. Of caps from 32 to 1024
-# timed on the 76k-term pressure sum at 0.2 um and 0.1 K, 32 and 64 were
-# fastest; larger caps were slower, 256 by about 25%.
+# rows per evaluation in mode_integrals, so that a (rows, 435) float
+# temporary is 0.2 MB. Of caps from 32 to 1024 timed on the 76k-term
+# pressure sum at 0.2 um and 0.1 K, 32 and 64 were fastest; larger caps
+# were slower, 256 by about 25%.
 _ROW_CAP = 64
 
 
@@ -220,38 +219,51 @@ def _gk_integrate(values, wk, wg):
     return k_panel.sum(axis=-1), err_panel.sum(axis=-1)
 
 
-def _log_reflection(model: ReflectionModel, zeta_col, p):
-    """(ln A, ln B) on the grid of p = q c / zeta >= 1. None means R identically 0."""
+def _channels(polarization: str):
+    """(TM asked for, TE asked for) of "both", "tm" or "te"."""
+    if polarization not in ("both", "tm", "te"):
+        raise ValueError(f"polarization must be both/tm/te, got {polarization!r}")
+    return polarization != "te", polarization != "tm"
+
+
+def _log_reflection(model: ReflectionModel, zeta_col, p, tm=True, te=True):
+    """(ln A, ln B) on the grid of p = q c / zeta >= 1; None for R identically 0
+    or for a channel not asked for (``tm``, ``te``), which is not computed."""
     if isinstance(model, (IdealMetal, TmOnlyIdealMetal)):
         # R does not depend on zeta or q: the zero mode on the grid
-        return model.zero_mode_log_reflection(p)
+        ln_a, ln_b = model.zero_mode_log_reflection(p)
+        return (ln_a if tm else None), (ln_b if te else None)
     em1 = np.asarray(model.eps_minus_one(zeta_col), dtype=float)
     with np.errstate(divide="ignore"):
         ln_em1 = np.log(em1)
     # Grid-sized arrays are updated in place: each fresh temporary of a
     # (rows, 435) batch costs page faults that outweigh the arithmetic.
     shape = np.broadcast_shapes(em1.shape, np.shape(p))
-    s, sp, ln_a = np.empty(shape), np.empty(shape), np.empty(shape)
+    s, sp = np.empty(shape), np.empty(shape)
     np.multiply(p, p, out=s)
     s += em1
     np.sqrt(s, out=s)
     np.add(s, p, out=sp)
-    # ln A = 2 [ln(eps-1) + ln((p sp - 1) / (sp (s + eps p)))]: one log
-    # of the ratio instead of ln(p sp - 1) - ln sp - ln(s + eps p)
-    np.multiply(1.0 + em1, p, out=ln_a)
-    s += ln_a
-    s *= sp
-    np.multiply(p, sp, out=ln_a)
-    ln_a -= 1.0
-    ln_a /= s
-    np.log(ln_a, out=ln_a)
-    ln_a += ln_em1
-    ln_a *= 2.0
-    # ln B = 2 [ln(eps-1) - 2 ln sp]
-    ln_b = np.log(sp, out=sp)
-    ln_b *= 2.0
-    np.subtract(ln_em1, ln_b, out=ln_b)
-    ln_b *= 2.0
+    ln_a = ln_b = None
+    if tm:
+        # ln A = 2 [ln(eps-1) + ln((p sp - 1) / (sp (s + eps p)))]: one log
+        # of the ratio instead of ln(p sp - 1) - ln sp - ln(s + eps p)
+        ln_a = np.empty(shape)
+        np.multiply(1.0 + em1, p, out=ln_a)
+        s += ln_a
+        s *= sp
+        np.multiply(p, sp, out=ln_a)
+        ln_a -= 1.0
+        ln_a /= s
+        np.log(ln_a, out=ln_a)
+        ln_a += ln_em1
+        ln_a *= 2.0
+    if te:
+        # ln B = 2 [ln(eps-1) - 2 ln sp]
+        ln_b = np.log(sp, out=sp)
+        ln_b *= 2.0
+        np.subtract(ln_em1, ln_b, out=ln_b)
+        ln_b *= 2.0
     return ln_a, ln_b
 
 
@@ -281,10 +293,8 @@ def reflection_coefficients(model: ReflectionModel, zeta, q) -> ReflectionPair:
 
 # The kernels work in the ln_r buffer, which they overwrite: each fresh
 # grid-sized temporary of a (rows, 435) batch costs page faults. Callers
-# hand over arrays they own (fresh from the ln R functions).
+# hand over arrays they own (fresh from the ln R functions), never None.
 def _energy_kernel(y, ln_r):
-    if ln_r is None:
-        return np.zeros_like(y)
     w = np.subtract(y, ln_r, out=ln_r)
     log1mexp(w, out=w)
     w *= y
@@ -292,8 +302,6 @@ def _energy_kernel(y, ln_r):
 
 
 def _pressure_kernel(y, ln_r):
-    if ln_r is None:
-        return np.zeros_like(y)
     w = np.subtract(y, ln_r, out=ln_r)
     inv_expm1(w, out=w)
     w *= y * y
@@ -308,10 +316,13 @@ _KINDS = {
 }
 
 
-def mode_integrals(model: ReflectionModel, gap: float, zetas, kind: str = "energy"):
+def mode_integrals(model: ReflectionModel, gap: float, zetas, kind: str = "energy",
+                   polarization: str = "both"):
     """Reduced integrals S_TM, S_TE over a 1-D batch of Matsubara frequencies.
 
     Returns (s_tm, s_te, err_tm, err_te), each shaped like ``zetas``.
+    ``polarization`` ("both", "tm" or "te") names the channels computed;
+    one not asked for is 0 with error 0, as one with R identically 0 is.
     Row r is integrated on a reference mesh shifted to start at its own
     y0 = 2 a zeta_r / c (nodes y0 + reference nodes, weights shared by
     all rows): the lean mesh when y0 >= ``_LEAN_Y0``, else the dense one
@@ -324,6 +335,7 @@ def mode_integrals(model: ReflectionModel, gap: float, zetas, kind: str = "energ
     at a time to bound the working set and scattered back into place; a
     row's value does not depend on the batch it is in.
     """
+    tm, te = _channels(polarization)
     zetas = np.atleast_1d(np.asarray(zetas, dtype=float))
     if np.any(zetas <= 0.0):
         raise ValueError("zetas must be > 0; the m = 0 term is analytic")
@@ -337,22 +349,25 @@ def mode_integrals(model: ReflectionModel, gap: float, zetas, kind: str = "energ
             rows = group[lo:lo + _ROW_CAP]
             y0 = y0s[rows, None]
             nodes = y0 + ref_nodes
-            ln_a, ln_b = _log_reflection(model, zetas[rows, None], nodes / y0)
-            out[0, rows], out[2, rows] = _gk_integrate(kernel(nodes, ln_a), wk, wg)
-            if ln_b is not None:
-                out[1, rows], out[3, rows] = _gk_integrate(kernel(nodes, ln_b), wk, wg)
-    s_tm, s_te, e_tm, e_te = out
-    return s_tm, s_te, e_tm, e_te
+            logs = _log_reflection(model, zetas[rows, None], nodes / y0, tm, te)
+            for pol, ln_r in enumerate(logs):  # rows pol and pol + 2 of out: S, error
+                if ln_r is not None:
+                    out[pol::2, rows] = _gk_integrate(kernel(nodes, ln_r), wk, wg)
+    return tuple(out)
 
 
-def zero_mode_integrals(model: ReflectionModel, gap: float, kind: str = "energy"):
-    """Full-weight m = 0 reduced integrals (S0_TM, S0_TE) on the dense mesh."""
+def zero_mode_integrals(model: ReflectionModel, gap: float, kind: str = "energy",
+                        polarization: str = "both"):
+    """Full-weight m = 0 reduced integrals (S0_TM, S0_TE) on the dense mesh;
+    ``polarization`` as in ``mode_integrals``."""
+    wanted = _channels(polarization)
     kernel = _KINDS[kind][0]
     ref_nodes, wk, wg = _DENSE_MESH
     nodes = ref_nodes[None, :]
+    logs = model.zero_mode_log_reflection(nodes / (2.0 * gap))
     # a None log is a channel with R identically 0, which integrates to 0
-    s_tm, s_te = (0.0 if ln is None else _gk_integrate(kernel(nodes, ln), wk, wg)[0][0]
-                  for ln in model.zero_mode_log_reflection(nodes / (2.0 * gap)))
+    s_tm, s_te = (_gk_integrate(kernel(nodes, ln), wk, wg)[0][0] if want and ln is not None
+                  else 0.0 for ln, want in zip(logs, wanted))
     return float(s_tm), float(s_te)
 
 
@@ -367,7 +382,8 @@ def _refine_mode(model, gap, zeta, kind, rel_tol):
 
     def integrate(pol):
         def f(y):
-            return kernel(y, _log_reflection(model, zeta, np.maximum(y / y0, 1.0))[pol])
+            ln_r = _log_reflection(model, zeta, np.maximum(y / y0, 1.0))[pol]
+            return np.zeros_like(y) if ln_r is None else kernel(y, ln_r)
         return adaptive_gk(f, breaks, rel_tol)[0]
 
     return integrate(0), integrate(1)
@@ -378,23 +394,13 @@ def _first(mask) -> int:
     return int(np.argmax(mask)) if mask.any() else mask.size
 
 
-# Euler-Maclaurin tail. A sum with terms left past a rung M of _EM_RUNGS
-# is summed explicitly up to M and
-#
-#   sum_{m>M} h(m) = Integral_M^inf h(u) du - h(M)/2 - h'(M)/12
-#                    + h'''(M)/720 - h^(5)(M)/30240
-#
-# gives the rest, with h = S_TM + S_TE at zeta1 u and the derivatives
-# from h(M - 3 .. M + 3) of the block that ends at M + 3. The bound on
-# the remainder (quadrature.euler_maclaurin_endpoint) falls fast with
-# M, so a sum predicted to run past _EM_SWITCH takes the first rung
-# whose remainder meets tol; a rung that misses costs no tail row. The
-# top rung puts its stencil on the block that ends at _EM_SWITCH, so a
-# sum predicted to stop directly but still running there takes the
-# same tail. The integral runs over fixed breaks in v = ln(1 + y0),
-# y0 = kappa u, clipped to start at v(M), with GK15 in t = sqrt(v) on
-# each panel (see _tail_panels); zero_temp takes it from v = 0. It ends
-# at y0 = 60: past that the terms are below e^-60 of the first ones.
+# Euler-Maclaurin tail, as the module docstring gives it: rungs M, with
+# the stencil h(M - 3 .. M + 3) in the block that ends at M + 3 (the top
+# rung's at _EM_SWITCH), and the breaks in v = ln(1 + y0), y0 = kappa u,
+# of its integral (GK15 in t = sqrt(v), see _tail_panels). The bound on
+# the remainder (quadrature.euler_maclaurin_endpoint) falls fast with M,
+# and a rung that misses tol costs no tail row. The breaks end at
+# y0 = 60: past that the terms are below e^-60 of the first ones.
 _EM_RUNGS = (32, 64, 189)
 _EM_SWITCH = _EM_RUNGS[-1] + 3
 _TAIL_BREAKS = np.array([1e-4, 1e-3, 0.01, 0.05, 0.15, 0.3, 0.5, 0.8,
@@ -556,7 +562,7 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
     end), and the first row that stops the sum or is not finite decides
     what happens. A sum stops at a term smaller than the one before, or
     at one that underflowed to exactly 0, when the term and the
-    geometric tail it implies are both below tol |sum| / 10; it then has
+    geometric tail it implies are both at most tol |sum| / 10; it then has
     a zero (tail_tm, tail_te) and ``tail`` is that geometric tail. A sum
     still running at the end M + 3 of a rung's block (every rung of
     _EM_RUNGS when the prediction passes _EM_SWITCH, else only the top
@@ -599,7 +605,7 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
         # a term that underflowed to 0 stops the sum too: 0 < 0 fails
         falling = (mags < np.abs(prevs)) | (mags == 0.0)
         stop = ((ms > 5) & falling
-                & (np.maximum(mags, tails) < tol * np.abs(after) / 10.0))
+                & (np.maximum(mags, tails) <= tol * np.abs(after) / 10.0))
         i_stop, i_bad = _first(stop), _first(~np.isfinite(totals))
         if i_bad < i_stop:
             kept.append((s_tm[:i_bad], s_te[:i_bad]))

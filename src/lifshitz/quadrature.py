@@ -6,9 +6,9 @@ meshes. Two rules are provided:
 * a 7/15 Gauss-Kronrod pair, used where an error estimate is needed
   (Matsubara terms and the panels of the integral over the Matsubara
   index);
-* plain Gauss-Legendre panels, used inside difference engines where the
-  mesh must be a smooth function of its parameters so that quadrature
-  error cancels between a sum and an integral sharing the evaluator.
+* plain Gauss-Legendre panels, used only by the numerical slope
+  constant ``asymptotics.te_slope_integral`` and by the tests' dense
+  reference meshes.
 
 Meshes are built row-wise: ``breaks`` with shape (R, P+1) produce node
 and weight matrices of shape (R, P*n) so a whole batch of integrals is

@@ -22,9 +22,9 @@ with the double prime marking half weight at both ends. The difference
 comes with an error floor: the cancellation roundoff, the panels'
 quadrature error and a bound on the Euler-Maclaurin remainder; a
 thermal shift smaller than 50 floors raises PrecisionError. The same
-machinery drives the low-frequency expansion form (g of the asymptotics
-module) and the exact-permittivity form (reduced Matsubara integrals of
-the core module).
+machinery and the same evaluator, ``core.mode_integrals``, drive the
+low-frequency expansion form (g of the asymptotics module, a rescaled
+TE reduced integral) and the exact-permittivity form.
 """
 
 from __future__ import annotations
@@ -145,20 +145,16 @@ def _thermal_shift(system: PlateSystem, kind: str, polarization: str) -> float:
     the chosen polarization; the m = 0 value is the zero mode. The
     prefactor is ``core._prefactor``.
     """
-    if polarization not in ("both", "tm", "te"):
-        raise ValueError(f"polarization must be both/tm/te, got {polarization!r}")
     model, gap, temp = system.model, system.gap, system.temperature
     zeta1 = matsubara_frequency(1, temp)
-    s0_tm, s0_te = zero_mode_integrals(model, gap, kind)
-    s0 = {"both": s0_tm + s0_te, "tm": s0_tm, "te": s0_te}[polarization]
+    s0_tm, s0_te = zero_mode_integrals(model, gap, kind, polarization)
 
     def h(u):
         out = np.empty_like(u)
         pos = u > 0.0
-        s_tm, s_te, _, _ = mode_integrals(model, gap, zeta1 * u[pos], kind)
-        sel = {"both": s_tm + s_te, "tm": s_tm, "te": s_te}[polarization]
-        out[pos] = sel
-        out[~pos] = s0
+        s_tm, s_te, _, _ = mode_integrals(model, gap, zeta1 * u[pos], kind, polarization)
+        out[pos] = s_tm + s_te
+        out[~pos] = s0_tm + s0_te
         return out
 
     delta, floor = sum_minus_integral(h)

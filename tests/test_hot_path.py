@@ -276,17 +276,52 @@ def test_kernels_match_the_two_branch_forms():
 
 _ZS = np.geomspace(1e11, 1e17, 601)
 _MODELS = [GOLD, PlasmaModel(GOLD.omega_p), TabulatedPermittivity(_ZS, GOLD.epsilon(_ZS))]
+# every model class of the row evaluator, and one row batch on both meshes
+_ROW_MODELS = _MODELS + [ConstantPermittivity(3.0), IdealMetal(), TmOnlyIdealMetal()]
+_ROW_IDS = ["drude", "plasma", "table", "eps3", "ideal", "tm-only"]
+_ROW_ZETAS = matsubara_frequency(1, 1.0) * np.arange(1.0, 301.0) ** 1.7
 
 
-@pytest.mark.parametrize("model", _MODELS, ids=["drude", "plasma", "table"])
+@pytest.mark.parametrize("model", _ROW_MODELS, ids=_ROW_IDS)
 @pytest.mark.parametrize("kind", ["energy", "pressure"])
 def test_row_values_do_not_depend_on_the_batch(model, kind):
-    zetas = matsubara_frequency(1, 1.0) * np.arange(1.0, 301.0) ** 1.7
-    batch = mode_integrals(model, 1e-6, zetas, kind)
+    batch = mode_integrals(model, 1e-6, _ROW_ZETAS, kind)
     for row in (0, 10, 11, 63, 64, 200, 299):  # rows 10, 11: the last dense, the first lean
-        alone = mode_integrals(model, 1e-6, zetas[row:row + 1], kind)
+        alone = mode_integrals(model, 1e-6, _ROW_ZETAS[row:row + 1], kind)
         for whole, single in zip(batch, alone):
             assert whole[row] == single[0]
+
+
+@pytest.mark.parametrize("model", _ROW_MODELS + [ConstantPermittivity(1.0)],
+                         ids=_ROW_IDS + ["eps1"])
+@pytest.mark.parametrize("kind", ["energy", "pressure"])
+def test_one_polarization_is_its_column_of_both(model, kind):
+    lean = 2.0 * 1e-6 * _ROW_ZETAS / C_LIGHT >= core._LEAN_Y0
+    assert lean.any() and not lean.all()
+    s_tm, s_te, e_tm, e_te = mode_integrals(model, 1e-6, _ROW_ZETAS, kind)
+    z_tm, z_te = zero_mode_integrals(model, 1e-6, kind)
+    tm_only = mode_integrals(model, 1e-6, _ROW_ZETAS, kind, "tm")
+    te_only = mode_integrals(model, 1e-6, _ROW_ZETAS, kind, "te")
+    for got, want in ((tm_only, (s_tm, 0.0, e_tm, 0.0)), (te_only, (0.0, s_te, 0.0, e_te))):
+        for column, expected in zip(got, want):
+            assert np.array_equal(column, np.broadcast_to(expected, column.shape))
+    assert zero_mode_integrals(model, 1e-6, kind, "tm") == (z_tm, 0.0)
+    assert zero_mode_integrals(model, 1e-6, kind, "te") == (0.0, z_te)
+
+
+def test_unknown_polarization_is_rejected_before_any_row(monkeypatch):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was evaluated")
+
+    monkeypatch.setattr(core, "_log_reflection", no_rows)
+    monkeypatch.setattr(DrudeModel, "zero_mode_log_reflection", no_rows)
+    for polarization in ("TE", "tem", ""):
+        with pytest.raises(ValueError, match="polarization"):
+            mode_integrals(GOLD, 1e-6, _ROW_ZETAS, "energy", polarization)
+        with pytest.raises(ValueError, match="polarization"):
+            zero_mode_integrals(GOLD, 1e-6, "pressure", polarization)
+        with pytest.raises(ValueError, match="polarization"):
+            thermo.free_energy_shift(PlateSystem(1e-6, 10.0, GOLD), polarization)
 
 
 # models of the dense-mesh row oracle (metals, a lossy Drude metal,
@@ -385,6 +420,17 @@ def test_sum_stops_when_terms_underflow(gap, quantity, kind, power, sign):
     exact = pref * math.fsum([0.5 * s0_tm, 0.5 * s0_te, *s_tm, *s_te])
     assert res.m_max == 6  # the first index the stop rule considers
     assert _value(res) == pytest.approx(exact, rel=tol)
+
+
+@pytest.mark.parametrize("temp", [300.0, 77.0])
+@pytest.mark.parametrize("quantity", [free_energy, pressure])
+def test_sum_of_zeros_stops(temp, quantity):
+    # eps = 1 reflects nothing: every term and the sum are exactly 0, and
+    # 0 <= 0 must stop the sum at the first index the rule considers
+    res = quantity(PlateSystem(1e-6, temp, ConstantPermittivity(1.0)))
+    assert _value(res) == 0.0
+    assert res.m_max == 6
+    assert res.tail_estimate == 0.0
 
 
 # the room-temperature grid of the block-schedule tests, run on each of _MODELS
