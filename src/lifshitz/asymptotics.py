@@ -21,7 +21,10 @@ the TE channel asked for; the expansion has no evaluator of its own.
 
 Replacing the sum by an integral over continuous m recovers the T = 0
 limit, so the low-temperature correction is the Euler-Maclaurin
-difference sum' g - integral g. Its leading term gives
+difference sum' g - integral g. That bracket is the TE thermal shift
+of ``_SkinEffectMetal`` too: ``thermo.delta_f_te_numeric`` is
+``thermo``'s one shift evaluator applied to it, with no bracket of its
+own. Its leading term gives
 
     dF_TE = C1 T^2 / (1 + C2 sqrt(T)),
     C1 = (2 ln 2 - 1) k^2 omega_p^2 / (48 hbar nu c^2),
@@ -44,7 +47,7 @@ from .constants import (C_LIGHT, HBAR, K_BOLTZMANN, TWO_LN2_MINUS_1,
                         matsubara_frequency)
 from .core import PlateSystem, mode_integrals
 from .dispersion import DrudeModel, _validated_zeta
-from .quadrature import gl_panels, log1mexp
+from .quadrature import gk_panels, log1mexp
 
 # g'(0) = integral_0^inf x ln(1 - B) dx in closed form
 G_SLOPE_EXACT = -0.25 * TWO_LN2_MINUS_1
@@ -107,8 +110,7 @@ def te_slope_integral() -> float:
     Closed form -(2 ln 2 - 1)/4; kept numerical so the reduction of the
     integrand can be checked against the constant.
     """
-    breaks = np.geomspace(1e-12, 4e5, 141)[None, :]
-    nodes, weights = gl_panels(breaks, n=20)
+    nodes, weights, _ = gk_panels(np.geomspace(1e-12, 4e5, 141))
     vals = nodes * log1mexp(4.0 * np.arcsinh(nodes))
     return float((vals * weights).sum())
 

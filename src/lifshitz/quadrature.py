@@ -3,12 +3,13 @@
 Everything downstream integrates smooth integrands over graded panel
 meshes. Two rules are provided:
 
-* a 7/15 Gauss-Kronrod pair, used where an error estimate is needed
-  (Matsubara terms and the panels of the integral over the Matsubara
-  index);
-* plain Gauss-Legendre panels, used only by the numerical slope
-  constant ``asymptotics.te_slope_integral`` and by the tests' dense
-  reference meshes.
+* a 7/15 Gauss-Kronrod pair, used by every library integral
+  (Matsubara terms, the panels of the integral over the Matsubara
+  index and the numerical slope constant
+  ``asymptotics.te_slope_integral``);
+* plain Gauss-Legendre panels, used by no library path: only the
+  tests' dense reference meshes, which share no rule with the library,
+  call them.
 
 Meshes are built row-wise: ``breaks`` with shape (R, P+1) produce node
 and weight matrices of shape (R, P*n) so a whole batch of integrals is

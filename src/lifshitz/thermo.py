@@ -20,11 +20,11 @@ endpoint derivative corrections,
 
 with the double prime marking half weight at both ends. The difference
 comes with an error floor: the cancellation roundoff, the panels'
-quadrature error and a bound on the Euler-Maclaurin remainder; a
-thermal shift smaller than 50 floors raises PrecisionError. The same
-machinery and the same evaluator, ``core.mode_integrals``, drive the
-low-frequency expansion form (g of the asymptotics module, a rescaled
-TE reduced integral) and the exact-permittivity form.
+quadrature error and a bound on the Euler-Maclaurin remainder. Every
+thermal shift is one bracket, ``_thermal_shift``, which raises
+PrecisionError when the floor exceeds tol times it: tol = 1/50 for the
+public shifts, the caller's tol <= 1e-8 for the low-frequency expansion
+form, which is the TE shift of ``asymptotics._SkinEffectMetal``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .asymptotics import AsymptoticCoefficients, _c_scale, _g_many, pade_delta_f
+from .asymptotics import AsymptoticCoefficients, _c_scale, _SkinEffectMetal, pade_delta_f
 from .constants import K_BOLTZMANN, ZETA3, matsubara_frequency
 from .core import (PlateSystem, _gk_integrate, _prefactor, mode_integrals,
                    zero_mode_integrals)
@@ -96,38 +96,25 @@ def sum_minus_integral(h: Callable):
 def delta_f_te_numeric(system: PlateSystem, tol: float = 1e-9) -> float:
     """TE thermal shift F_TE(T) - F_TE(0) in the low-frequency form, J/m^2.
 
-    Evaluates (C/beta) [sum' g(m) - int g(u) du] with the expansion
-    integrand; positive throughout its validity window. The index
-    cutoff lies beyond the strict frequency window at the top of the
-    temperature range, but those indices enter only through boundary
-    terms that cancel between sum and integral. Raises PrecisionError
-    when the error floor of sum_minus_integral exceeds ``tol`` times
-    the bracket (on the default fit grid it stays below about 4e-11 of
-    it at gaps of 0.2-8 um).
+    The TE ``_thermal_shift`` of ``asymptotics._SkinEffectMetal``, the
+    DrudeModel's skin-effect limit: (C/beta) [sum' g(m) - int g(u) du];
+    positive throughout its validity window. The index cutoff lies
+    beyond the strict frequency window at the top of the temperature
+    range, but those indices enter only through boundary terms that
+    cancel between sum and integral. Raises PrecisionError when the
+    floor exceeds ``tol`` times the bracket (on the default fit grid it
+    stays below about 4e-11 of it at gaps of 0.2-8 um).
     """
-    temp = system.temperature
-    # raises the TypeError for a model other than a DrudeModel
-    c_over_beta = _c_scale(system.model, temp) * K_BOLTZMANN * temp
+    model, temp = system.model, system.temperature
+    _c_scale(model, temp)  # raises the TypeError for a model other than a DrudeModel
     if not 0.0 < tol <= 1e-8:
         raise ValueError(f"tol must be in (0, 1e-8], got {tol}")
-    if system.temperature > 0.2:
+    if temp > 0.2:
         raise RegimeError(
-            f"T = {system.temperature} K is outside the low-temperature "
+            f"T = {temp} K is outside the low-temperature "
             "window (T <= 0.2 K) of the expansion")
-
-    def h(u):
-        out = np.zeros_like(u)
-        pos = u > 0.0
-        out[pos] = _g_many(system, u[pos])
-        return out
-
-    delta, floor = sum_minus_integral(h)
-    # tol <= 1e-8, so this also holds the |delta| >= 50 floor of the shifts
-    if floor > tol * abs(delta):
-        raise PrecisionError(
-            f"TE thermal shift {delta:.3e} has an error floor {floor:.3e} "
-            f"above tol = {tol:.1e} of it; temperature too low to resolve")
-    result = c_over_beta * delta
+    skin = PlateSystem(system.gap, temp, _SkinEffectMetal(model.omega_p ** 2 / model.nu))
+    result = _thermal_shift(skin, "energy", "te", tol)
     if result <= 0.0:
         raise PrecisionError(
             f"TE thermal shift came out non-positive ({result:.3e}); "
@@ -138,12 +125,14 @@ def delta_f_te_numeric(system: PlateSystem, tol: float = 1e-9) -> float:
 _SHIFT_NAMES = {"energy": "thermal shift", "pressure": "thermal pressure shift"}
 
 
-def _thermal_shift(system: PlateSystem, kind: str, polarization: str) -> float:
+def _thermal_shift(system: PlateSystem, kind: str, polarization: str,
+                   tol: float = 1.0 / 50.0) -> float:
     """sign k T / (8 pi a^power) [sum' h - int h], h(u) = S(zeta_1 u).
 
     S is the reduced integral of ``kind`` ("energy" or "pressure") for
     the chosen polarization; the m = 0 value is the zero mode. The
-    prefactor is ``core._prefactor``.
+    prefactor is ``core._prefactor``. Raises PrecisionError when the
+    error floor exceeds ``tol`` times the bracket (default: 50 floors).
     """
     model, gap, temp = system.model, system.gap, system.temperature
     zeta1 = matsubara_frequency(1, temp)
@@ -158,10 +147,10 @@ def _thermal_shift(system: PlateSystem, kind: str, polarization: str) -> float:
         return out
 
     delta, floor = sum_minus_integral(h)
-    if abs(delta) < 50.0 * floor:
+    if floor > tol * abs(delta):
         raise PrecisionError(
-            f"{_SHIFT_NAMES[kind]} {delta:.3e} is below 50 times its error floor {floor:.3e}; "
-            "temperature too low to resolve")
+            f"{_SHIFT_NAMES[kind]} {delta:.3e} has an error floor {floor:.3e} "
+            f"above {tol:.3g} of it; temperature too low to resolve")
     return _prefactor(system, kind) * delta
 
 
@@ -326,7 +315,7 @@ def entropy(system: PlateSystem, tol: float = 1e-9) -> float:
     Differentiates the thermal shift F(T) - F(0) (the T = 0 part drops
     out of the derivative), with a Richardson-extrapolated central
     difference at step h = max(T/10, 1e-4 K). ``tol`` is not applied
-    yet: the shifts hold their own 50-floor rule.
+    yet: the shifts hold the 50-floor rule of ``_thermal_shift``.
     """
     t0 = system.temperature
     h = max(t0 / 10.0, 1e-4)

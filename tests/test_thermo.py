@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lifshitz import thermo
 from lifshitz.asymptotics import _g_many, _SkinEffectMetal, coefficients, pade_delta_f
 from lifshitz.constants import C_LIGHT, HBAR, K_BOLTZMANN, ZETA3, matsubara_frequency
-from lifshitz.core import (IdealMetal, PlateSystem, TmOnlyIdealMetal,
+from lifshitz.core import (IdealMetal, PlateSystem, TmOnlyIdealMetal, _prefactor,
                            free_energy, pressure)
 from lifshitz.dispersion import GOLD, PlasmaModel
 from lifshitz.errors import PrecisionError, RegimeError
@@ -138,17 +138,22 @@ def _dense_sum_minus_integral(h):
     return math.fsum(terms) - math.fsum(integrand) + correction, 0.0
 
 
+def _dense_c_scale(system):
+    """C = omega_p^2 k T / (hbar nu c^2), written out here so the oracle
+    shares no scale code with the library."""
+    model = system.model
+    return (model.omega_p ** 2 * K_BOLTZMANN * system.temperature
+            / (HBAR * model.nu * C_LIGHT ** 2))
+
+
 def _dense_g_many(system, m):
     """Dense reference for asymptotics._g_many: 56 x panels of 16 nodes.
 
-    alpha = 2 a sqrt(2 pi C m) with C = omega_p^2 k T / (hbar nu c^2),
-    and x_min = sqrt(zeta_m nu / omega_p^2), written out here so the
-    oracle shares no scale code with the library.
+    alpha = 2 a sqrt(2 pi C m) and x_min = sqrt(zeta_m nu / omega_p^2).
     """
     model, temp = system.model, system.temperature
     m = np.atleast_1d(np.asarray(m, dtype=float))
-    c_scale = model.omega_p ** 2 * K_BOLTZMANN * temp / (HBAR * model.nu * C_LIGHT ** 2)
-    alpha = 2.0 * system.gap * np.sqrt(2.0 * math.pi * c_scale * m)
+    alpha = 2.0 * system.gap * np.sqrt(2.0 * math.pi * _dense_c_scale(system) * m)
     x_min = np.sqrt(matsubara_frequency(m, temp) * model.nu / model.omega_p ** 2)
     x_max = np.minimum(50.0 / alpha + 2.0 * x_min, 4e5)
     ratio = (x_max / x_min) ** (1.0 / 56)
@@ -158,9 +163,23 @@ def _dense_g_many(system, m):
     return m * (vals * weights).sum(axis=1)
 
 
+def _dense_te_h(system):
+    """h(u) = S_TE(zeta_1 u) of the skin-effect metal from the dense g rows,
+    8 pi a^2 C g(u), and 0 at u = 0 (a Drude zero mode has no TE part)."""
+    scale = 8.0 * math.pi * system.gap ** 2 * _dense_c_scale(system)
+
+    def h(u):
+        out = np.zeros_like(u)
+        pos = u > 0.0
+        out[pos] = scale * _dense_g_many(system, u[pos])
+        return out
+
+    return h
+
+
 def _brackets(call, dense):
     """(delta, floor) that ``call`` gets from sum_minus_integral, on the
-    library's meshes or (``dense``) on the dense references."""
+    library's t mesh or (``dense``) on the dense reference engine."""
     engine = _dense_sum_minus_integral if dense else sum_minus_integral
     seen = []
 
@@ -170,8 +189,6 @@ def _brackets(call, dense):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(thermo, "sum_minus_integral", spy)
-        if dense:
-            mp.setattr(thermo, "_g_many", _dense_g_many)
         try:
             call()
         except PrecisionError:
@@ -186,8 +203,8 @@ GAPS = (0.2e-6, 1e-6, 8e-6)
 class TestDenseMeshOracle:
     """The GK15 t mesh, and the expansion's g rows on the reference
     meshes of core.mode_integrals, against the dense references: the
-    brackets agree within 5 floors (measured worst 0.85), also where the
-    result is below the 50-floor rule and raises."""
+    brackets agree within 5 floors, also where the result is below the
+    50-floor rule and raises."""
 
     @pytest.mark.parametrize("gap", GAPS)
     @pytest.mark.parametrize("t", [1e-3, 1e-2, 0.2])
@@ -214,12 +231,13 @@ class TestDenseMeshOracle:
                 assert abs(delta - dense) <= 5.0 * floor, (gap, t)
 
     def test_te_expansion(self):
+        # the dense engine on dense g rows, which share no code with
+        # core.mode_integrals; measured worst 0.73 floors
         for gap in GAPS:
             for t in (1e-3, 0.05):
-                def call():
-                    return delta_f_te_numeric(PlateSystem(gap, t, GOLD))
-                delta, floor = _brackets(call, dense=False)
-                dense, _ = _brackets(call, dense=True)
+                system = PlateSystem(gap, t, GOLD)
+                delta, floor = _brackets(lambda: delta_f_te_numeric(system), dense=False)
+                dense, _ = _dense_sum_minus_integral(_dense_te_h(system))
                 assert abs(delta - dense) <= 5.0 * floor, (gap, t)
 
 
@@ -259,16 +277,11 @@ class TestDeltaFTeNumeric:
     @pytest.mark.parametrize("gap", GAPS)
     @pytest.mark.parametrize("t", [1e-3, 1e-2, 0.2])
     def test_is_the_te_shift_of_the_skin_effect_metal(self, gap, t):
-        """The expansion is the exact TE shift of eps - 1 = D / zeta. The
-        two forms scale the same rows by different constants, so they
-        differ by the rounding of that scaling, which the bracket's
-        cancellation amplifies: within its error floor (measured worst
-        0.32 of it, 7.7e-12 relative at 0.2 um and 10 mK)."""
-        system = PlateSystem(gap, t, GOLD)
-        delta, floor = _brackets(lambda: delta_f_te_numeric(system), dense=False)
+        """The expansion is the exact TE shift of eps - 1 = D / zeta, on
+        the same rows, bracket and prefactor."""
         skin = _SkinEffectMetal(GOLD.omega_p ** 2 / GOLD.nu)
         exact = free_energy_shift(PlateSystem(gap, t, skin), polarization="te")
-        assert exact == pytest.approx(delta_f_te_numeric(system), rel=floor / abs(delta))
+        assert delta_f_te_numeric(PlateSystem(gap, t, GOLD)) == exact
 
     def test_tol_is_held_against_the_floor(self, monkeypatch):
         system = PlateSystem(0.2e-6, 0.002, GOLD)
@@ -294,6 +307,40 @@ class TestDeltaFTeNumeric:
             delta_f_te_numeric(PlateSystem(1e-6, 0.01, GOLD), tol=1e-6)
         with pytest.raises(RegimeError):
             delta_f_te_numeric(PlateSystem(1e-6, 0.5, GOLD))
+
+
+class TestPrecisionRule:
+    """One rule for every shift, floor > tol |delta| raises, at its boundary:
+    sum_minus_integral is replaced by a stub that returns a chosen
+    (delta, floor) without evaluating h."""
+
+    @staticmethod
+    def _call(monkeypatch, fn, system, delta, floor):
+        monkeypatch.setattr(thermo, "sum_minus_integral", lambda h: (delta, floor))
+        return fn(system)
+
+    @pytest.mark.parametrize("fn, kind", [(free_energy_shift, "energy"),
+                                          (pressure_shift, "pressure")], ids=["energy", "pressure"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_shifts_hold_fifty_floors(self, monkeypatch, fn, kind, sign):
+        system = PlateSystem(1e-6, 1.0, GOLD)
+        floor = 2.0 ** -40
+        delta = sign * 50.0 * floor
+        assert self._call(monkeypatch, fn, system, delta, floor) == (
+            _prefactor(system, kind) * delta)
+        below = sign * math.nextafter(50.0 * floor, 0.0)
+        with pytest.raises(PrecisionError, match="above 0.02 of it"):
+            self._call(monkeypatch, fn, system, below, floor)
+
+    def test_te_expansion_holds_its_tol(self, monkeypatch):
+        system = PlateSystem(1e-6, 0.01, GOLD)
+        delta, tol = 3.0, 1e-9
+        value = self._call(monkeypatch, lambda s: delta_f_te_numeric(s, tol), system,
+                           delta, tol * delta)
+        assert value == _prefactor(system, "energy") * delta
+        with pytest.raises(PrecisionError, match="above 1e-09 of it"):
+            self._call(monkeypatch, lambda s: delta_f_te_numeric(s, tol), system,
+                       delta, math.nextafter(tol * delta, 1.0))
 
 
 class TestFreeEnergyShift:
