@@ -47,9 +47,10 @@ Euler-Maclaurin formula
                      + h'''(M)/720 - h^(5)(M)/30240,
 
 with h = S_TM + S_TE at zeta_1 u and the derivatives from 7-point
-stencils on h(M - 3 .. M + 3). The integral takes 75 to 200 more rows
+stencils on h(M - 3 .. M + 3). The integral takes 60 to 200 more rows
 of the same evaluator, so its cost does not grow as T falls. Its panels
-have fixed breaks in v = ln(1 + 2 a zeta / c) and are integrated by
+start on fixed breaks in v = ln(1 + 2 a zeta / c) above v(M), 8 of them
+at tol >= 1e-8 and 14 below (``_start_breaks``), and are integrated by
 GK15 in t = sqrt(v): the u^{3/2} term of a Drude-like TE channel at
 small u, a v^{3/2} endpoint in v, is t^3 in t. A sum predicted to stop
 directly but still running at m = 192 tries the top rung. If the error
@@ -406,6 +407,22 @@ _EM_SWITCH = _EM_RUNGS[-1] + 3
 _TAIL_BREAKS = np.array([1e-4, 1e-3, 0.01, 0.05, 0.15, 0.3, 0.5, 0.8,
                          1.2, 1.7, 2.3, 3.0, 3.5, math.log(61.0)])
 _TAIL_PANEL_CAP = 32  # panels _bisect_panels may reach before it gives up
+# At tol >= _COARSE_TOL the first round of _bisect_panels runs on the 8
+# breaks {1e-3, 0.05, 0.3, 0.8, 1.7, 2.3, 3.5, ln 61} of _TAIL_BREAKS
+# (v = 0.3, the lean/dense switch, among them). For the T = 0 integral
+# of Drude, plasma, ideal and tabulated metals at 0.2-8 um they estimate
+# at most 1.5e-9 of it and move it by at most 1.4e-13 relative, so tol
+# 1e-8 needs no bisection. Tail-path sums at 0.2-4 um, 0.1-4 K move by
+# at most 1e-15 relative (Drude, plasma) and 2.1e-13 (601-row table).
+# Below 1e-8 the 14 breaks cost fewer rows than bisecting the 8 (a
+# switch at 1e-9 cost room-temperature sums 5% more rows).
+_COARSE = [1, 3, 5, 7, 9, 10, 12, 13]
+_COARSE_TOL = 1e-8
+
+
+def _start_breaks(tol: float):
+    """Breaks in v of the first ``_bisect_panels`` round at ``tol``."""
+    return _TAIL_BREAKS[_COARSE] if tol >= _COARSE_TOL else _TAIL_BREAKS
 
 
 def _tail_panels(model, gap, zeta1, kind, lo, hi):
@@ -490,7 +507,8 @@ def _em_tail(model, gap, zeta1, kind, tol, big_m, h_tm, h_te, head, kept):
     if not remainder <= tol * abs(head) / 10.0:
         return None
     v_m = math.log1p(2.0 * gap * zeta1 * big_m / C_LIGHT)
-    breaks = np.concatenate(([v_m], _TAIL_BREAKS[_TAIL_BREAKS > v_m]))
+    start = _start_breaks(tol)
+    breaks = np.concatenate(([v_m], start[start > v_m]))
     if breaks.size < 2:
         return None
     ends_tm, ends_te = c_tm - 0.5 * h_tm[3], c_te - 0.5 * h_te[3]

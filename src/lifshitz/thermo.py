@@ -12,19 +12,26 @@ smooth part of any quadrature bias cancels structurally. The difference
 itself is computed by splitting at an index M: below M the sum and
 integral are evaluated directly (the integral in the variable t =
 sqrt(u), which absorbs the half-power behaviour of h at the origin, on
-26 GK15 panels at M = 128); above M both tails are identical up to
-endpoint derivative corrections,
+GK15 panels); above M both tails are identical up to endpoint
+derivative corrections,
 
     sum' h - int h = [sum''_0^M h - int_0^M h] - h'(M)/12 + h'''(M)/720
                      - h^(5)(M)/30240 + ...,
 
 with the double prime marking half weight at both ends. The difference
 comes with an error floor: the cancellation roundoff, the panels'
-quadrature error and a bound on the Euler-Maclaurin remainder. Every
+quadrature error and a bound on the Euler-Maclaurin remainder. M is
+the first rung of the nested ladder 32, 64, 128 whose floor is within
+tol of the difference; each rung evaluates h only on the integers and
+t panels that the rungs below it did not reach. The roundoff grows with
+M and the remainder falls, so a slowly decaying h (small kappa) is
+resolved best at M = 32 and a fast one may need 64 or 128. Every
 thermal shift is one bracket, ``_thermal_shift``, which raises
-PrecisionError when the floor exceeds tol times it: tol = 1/50 for the
-public shifts, the caller's tol <= 1e-8 for the low-frequency expansion
-form, which is the TE shift of ``asymptotics._SkinEffectMetal``.
+PrecisionError when no rung's floor is within tol of it: tol = 1/50
+for the public shifts (met at M = 32 for gold from 1 mK to 10 K), the
+caller's tol <= 1e-8 for the low-frequency expansion form, which is the
+TE shift of ``asymptotics._SkinEffectMetal`` (M = 64 on most of the
+default fit grid at tol 1e-9).
 """
 
 from __future__ import annotations
@@ -44,29 +51,70 @@ from .errors import PrecisionError, RegimeError
 from .quadrature import euler_maclaurin_endpoint, fsum, gk_panels
 
 _EPS = np.finfo(float).eps
-_M_STAR = 128  # split index M of sum_minus_integral
+_RUNGS = (32, 64, 128)  # split indices M of sum_minus_integral, tried in turn
 _FIT_RESIDUAL_MAX = 0.05  # rms relative residual above which fit_low_temp raises
 
 
 def _t_mesh():
-    """GK15 panel breaks in t = sqrt(u) on [0, sqrt(M)], M = ``_M_STAR``.
+    """GK15 panel breaks in t = sqrt(u) on [0, sqrt(M)], M the top rung.
 
     One panel up to t = 1e-3, 9 geometric panels up to 0.4, then equal
-    steps of at most 0.7.
+    steps of at most 0.7 up to sqrt(M) of each rung M in turn, so that
+    every rung's integral ends on a break.
     """
-    top = math.sqrt(_M_STAR)
-    geo = np.geomspace(1e-3, 0.4, 10)
-    lin = np.linspace(0.4, top, math.ceil((top - 0.4) / 0.7) + 1)[1:]
-    return np.concatenate([[0.0], geo, lin])
+    breaks = [[0.0], np.geomspace(1e-3, 0.4, 10)]
+    lo = 0.4
+    for big_m in _RUNGS:
+        hi = math.sqrt(big_m)
+        breaks.append(np.linspace(lo, hi, math.ceil((hi - lo) / 0.7) + 1)[1:])
+        lo = hi
+    return np.concatenate(breaks)
 
 
-def sum_minus_integral(h: Callable):
+def _ladder(h):
+    """(M, delta, floor) of sum' h - int h split at each rung M of ``_RUNGS``.
+
+    Rung M calls ``h`` once, on the integers up to M + 3 and the GK15
+    nodes of the panels below sqrt(M) that no lower rung evaluated, so a
+    u is never evaluated twice; the bracket and its floor then use every
+    value up to M.
+    """
+    breaks = _t_mesh()
+    t_nodes, wk, wg = gk_panels(breaks)
+    hv, hq = np.empty(0), np.empty(0)
+    for big_m in _RUNGS:
+        nodes = 15 * int(np.flatnonzero(breaks == math.sqrt(big_m))[0])
+        t_new = t_nodes[hq.size:nodes]
+        u_int = np.arange(hv.size, big_m + 4.0)
+        values = np.asarray(h(np.concatenate([u_int, t_new * t_new])), dtype=float)
+        hv = np.concatenate([hv, values[:u_int.size]])
+        hq = np.concatenate([hq, 2.0 * t_new * values[u_int.size:]])  # h du = 2 t h dt
+
+        sum_terms = hv[:big_m + 1].copy()
+        sum_terms[0] *= 0.5
+        sum_terms[big_m] *= 0.5
+        integrand = wk[:nodes] * hq
+        # Euler-Maclaurin endpoint corrections at M
+        correction, remainder = euler_maclaurin_endpoint(hv[big_m - 3:big_m + 4], big_m)
+        delta = fsum(sum_terms) - fsum(integrand) + correction
+
+        noise = _EPS * (np.abs(sum_terms).sum() + np.abs(integrand).sum())
+        _, quad_err = _gk_integrate(hq[None, :].copy(), wk[:nodes].reshape(-1, 15),
+                                    wg[:nodes].reshape(-1, 15))
+        yield big_m, delta, noise + quad_err[0] + remainder
+
+
+def sum_minus_integral(h: Callable, tol: float = 0.0):
     """sum'_{m>=0} h(m) - Integral_0^inf h(u) du for decaying smooth h.
 
     ``h`` must accept a 1-D float array of u >= 0 and evaluate
-    elementwise; it is called exactly once, on the integers 0 .. M + 3
-    (M = ``_M_STAR`` = 128) and the GK15 nodes of ``_t_mesh`` (522
-    values). Returns (delta, floor). The floor adds three parts: the
+    elementwise. The bracket is split at the rungs M = 32, 64, 128 in
+    turn (``_ladder``) and returned at the first whose floor is at most
+    ``tol`` times it, else at the top rung; the default tol = 0 runs to
+    the top unless a floor is exactly 0. The rungs are nested: M = 32 evaluates h on the integers
+    0 .. 35 and the GK15 nodes of 18 panels in t = sqrt(u) (306 values),
+    64 on 92 more and 128 on 139 more (537 in all), and no u twice.
+    Returns (delta, floor). The floor adds three parts: the
     cancellation roundoff estimate, eps times the summed magnitudes of
     the terms and of the weighted integrand values; the panels'
     quadrature error in the converged-panel model of the Matsubara rows
@@ -74,23 +122,10 @@ def sum_minus_integral(h: Callable):
     roundoff level already counted; and the bound on the
     Euler-Maclaurin remainder from ``euler_maclaurin_endpoint``.
     """
-    t_nodes, wk, wg = gk_panels(_t_mesh())
-    u_int = np.arange(0.0, _M_STAR + 4.0)
-    values = np.asarray(h(np.concatenate([u_int, t_nodes * t_nodes])), dtype=float)
-    hv = values[:u_int.size]
-    hq = 2.0 * t_nodes * values[u_int.size:]  # h du = 2 t h dt
-
-    sum_terms = hv[:_M_STAR + 1].copy()
-    sum_terms[0] *= 0.5
-    sum_terms[_M_STAR] *= 0.5
-    integrand = wk * hq
-    # Euler-Maclaurin endpoint corrections at M
-    correction, remainder = euler_maclaurin_endpoint(hv[_M_STAR - 3:_M_STAR + 4], _M_STAR)
-    delta = fsum(sum_terms) - fsum(integrand) + correction
-
-    noise = _EPS * (np.abs(sum_terms).sum() + np.abs(integrand).sum())
-    _, quad_err = _gk_integrate(hq[None, :], wk.reshape(-1, 15), wg.reshape(-1, 15))
-    return delta, noise + quad_err[0] + remainder
+    for _, delta, floor in _ladder(h):
+        if floor <= tol * abs(delta):
+            break
+    return delta, floor
 
 
 def delta_f_te_numeric(system: PlateSystem, tol: float = 1e-9) -> float:
@@ -101,9 +136,9 @@ def delta_f_te_numeric(system: PlateSystem, tol: float = 1e-9) -> float:
     positive throughout its validity window. The index cutoff lies
     beyond the strict frequency window at the top of the temperature
     range, but those indices enter only through boundary terms that
-    cancel between sum and integral. Raises PrecisionError when the
-    floor exceeds ``tol`` times the bracket (on the default fit grid it
-    stays below about 4e-11 of it at gaps of 0.2-8 um).
+    cancel between sum and integral. The bracket comes from the first
+    rung of ``sum_minus_integral`` whose floor is within ``tol`` of it;
+    PrecisionError is raised when none is.
     """
     model, temp = system.model, system.temperature
     _c_scale(model, temp)  # raises the TypeError for a model other than a DrudeModel
@@ -131,8 +166,10 @@ def _thermal_shift(system: PlateSystem, kind: str, polarization: str,
 
     S is the reduced integral of ``kind`` ("energy" or "pressure") for
     the chosen polarization; the m = 0 value is the zero mode. The
-    prefactor is ``core._prefactor``. Raises PrecisionError when the
-    error floor exceeds ``tol`` times the bracket (default: 50 floors).
+    prefactor is ``core._prefactor``. The bracket is that of the first
+    rung of ``sum_minus_integral`` whose error floor is at most ``tol``
+    times it (default: 50 floors); PrecisionError is raised when the
+    top rung misses it too.
     """
     model, gap, temp = system.model, system.gap, system.temperature
     zeta1 = matsubara_frequency(1, temp)
@@ -146,7 +183,7 @@ def _thermal_shift(system: PlateSystem, kind: str, polarization: str,
         out[~pos] = s0_tm + s0_te
         return out
 
-    delta, floor = sum_minus_integral(h)
+    delta, floor = sum_minus_integral(h, tol)
     if floor > tol * abs(delta):
         raise PrecisionError(
             f"{_SHIFT_NAMES[kind]} {delta:.3e} has an error floor {floor:.3e} "
@@ -249,9 +286,15 @@ def default_fit_grid() -> np.ndarray:
 
 def collect_lowtemp_samples(material: DrudeModel, gap: float,
                             t_grid=None, tol: float = 1e-9) -> list:
-    """(T, dF_TE) pairs from the low-frequency evaluator."""
+    """(T, dF_TE) pairs from the low-frequency evaluator.
+
+    Without ``t_grid`` the temperatures are ``default_fit_grid()``
+    scaled by min(1, (1 um / gap)^2). c2 grows as the gap, so above
+    1 um this holds c2 sqrt(T_max) at its 1 um value and keeps the
+    basis T^2, T^{5/2}, T^3 of ``fit_low_temp`` in its window.
+    """
     if t_grid is None:
-        t_grid = default_fit_grid()
+        t_grid = default_fit_grid() * min(1.0, (1e-6 / gap) ** 2)
     return [(float(t), delta_f_te_numeric(PlateSystem(gap, float(t), material), tol=tol))
             for t in np.asarray(t_grid, dtype=float)]
 
@@ -315,7 +358,9 @@ def entropy(system: PlateSystem, tol: float = 1e-9) -> float:
     Differentiates the thermal shift F(T) - F(0) (the T = 0 part drops
     out of the derivative), with a Richardson-extrapolated central
     difference at step h = max(T/10, 1e-4 K). ``tol`` is not applied
-    yet: the shifts hold the 50-floor rule of ``_thermal_shift``.
+    yet: each of the four shifts comes from the first rung of
+    ``sum_minus_integral`` that holds the 50-floor rule of
+    ``_thermal_shift``.
     """
     t0 = system.temperature
     h = max(t0 / 10.0, 1e-4)

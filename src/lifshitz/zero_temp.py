@@ -15,12 +15,14 @@ which is the integral the Euler-Maclaurin tail of the thermal sum
 takes from its rung M on. The same evaluator (``core._tail_panels``:
 panels with breaks in v = ln(1 + u), each integrated by GK15 in
 t = sqrt(v), each node one ``mode_integrals`` row) and the same
-bisection loop take it from v = 0, on the tail's 14 panels. The t rule
-matters at the lower end: a Drude-like TE channel carries a u^{3/2}
-term there, which GK15 in v resolves only after bisecting the first
-panels, and which is the polynomial t^3 in t. At gaps of 0.2-8 um,
-Drude, tabulated, plasma and ideal metals all meet tol = 1e-11 on the
-14 panels (210 rows).
+bisection loop take it from v = 0, on the tail's start panels
+(``core._start_breaks``): 8 panels (120 rows) at tol >= 1e-8, 14
+(210 rows) below. The t rule matters at the lower end: a Drude-like TE
+channel carries a u^{3/2} term there, which GK15 in v resolves only
+after bisecting the first panels, and which is the polynomial t^3 in t.
+At gaps of 0.2-8 um, Drude, tabulated, plasma and ideal metals all meet
+tol = 1e-8 on the 8 panels (estimates up to 1.5e-9 of F(0), values
+within 1.4e-13 of the 14-panel ones) and tol = 1e-11 on the 14.
 
 For an ideal metal the integral evaluates to -pi^2 hbar c / 720 a^3.
 """
@@ -33,11 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
-from .core import (_TAIL_BREAKS, _TAIL_PANEL_CAP, ReflectionModel, _bisect_panels,
+from .core import (_TAIL_PANEL_CAP, ReflectionModel, _bisect_panels, _start_breaks,
                    _tail_panels)
 from .errors import ConvergenceError
-
-_BREAKS = np.concatenate(([0.0], _TAIL_BREAKS))
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,10 @@ def free_energy_T0(gap: float, model: ReflectionModel, tol: float = 1e-8) -> Zer
         raise ValueError(f"gap must be finite and > 0 m, got {gap}")
     if not 0.0 < tol <= 1e-2:
         raise ValueError(f"tol must be in (0, 1e-2], got {tol}")
+    breaks = np.concatenate(([0.0], _start_breaks(tol)))
     # _eval_rects is looked up at each call, so a patch of it is seen
     tm, te, error, met, panels = _bisect_panels(
-        lambda lo, hi: _eval_rects(model, gap, lo, hi), _BREAKS[:-1], _BREAKS[1:],
+        lambda lo, hi: _eval_rects(model, gap, lo, hi), breaks[:-1], breaks[1:],
         lambda tm, te: tol * abs(tm + te))
     pref = HBAR * C_LIGHT / (32.0 * math.pi ** 2 * gap ** 3)
     if not met:

@@ -12,9 +12,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lifshitz import core, dispersion, zero_temp
+from lifshitz import core, dispersion, thermo, zero_temp
 from lifshitz.dispersion import GOLD, PlasmaModel
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -80,3 +81,25 @@ def test_traced_room_grid_calls_report_every_metric():
     assert [name for name, value in metrics.items() if value is None] == []
     assert metrics["core.sum_rows_evaluated"] > 0
     assert metrics["dispersion.eps_calls"] > 0
+
+
+def test_traced_shift_counts_every_h_value(monkeypatch):
+    """The tracer counts h at ``sum_minus_integral``'s first argument, so it
+    sees each rung's call of the ladder: once per distinct u evaluated."""
+    seen = []
+    real_ladder = thermo._ladder
+
+    def recording(h):
+        def h_seen(u):
+            seen.append(np.array(u))
+            return h(u)
+        return real_ladder(h_seen)
+
+    monkeypatch.setattr(thermo, "_ladder", recording)
+    with tracer.Tracer() as trace:
+        thermo.free_energy_shift(core.PlateSystem(1e-6, 0.01, GOLD))
+    assert trace.missing == set()
+    metrics = trace.metrics(_probes())
+    u = np.concatenate(seen)
+    assert metrics["thermo.smi_calls"] == 1
+    assert metrics["thermo.smi_h_values"] == np.unique(u).size == u.size

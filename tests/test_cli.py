@@ -135,6 +135,17 @@ class TestCommands:
         assert d["residual_norm"] < 0.05
         assert len(payload["rows"]) == 12
 
+    @pytest.mark.parametrize("gap", ["2e-6", "4e-6", "8e-6"])
+    def test_fit_lowtemp_at_large_gaps(self, capsys, gap):
+        rc, out, _ = run_cli(capsys, "fit-lowtemp", "--gap", gap, "--format", "json")
+        assert rc == 0
+        payload = json.loads(out)
+        d = payload["diagnostics"]
+        assert d["residual_norm"] < 0.02
+        assert d["d1_J_m2K2"] == pytest.approx(5.81e-13, rel=2e-2)
+        assert d["d2_per_sqrtK"] == pytest.approx(3.03 * float(gap) / 1e-6, rel=0.07)
+        assert len(payload["rows"]) == 12
+
     def test_r_series_diagnostics(self, capsys):
         rc, out, _ = run_cli(capsys, "r-series", "--gap", "1e-6",
                              "--temp", "2e-3:2e-2:6:log", "--format", "json")

@@ -177,7 +177,7 @@ def test_tail_bisects_then_gives_way_to_the_direct_sum(monkeypatch):
     monkeypatch.setattr(core, "_tail_panels", counting)
     stress = PlateSystem(0.2e-6, 0.1, GOLD)
     loose = pressure(stress, tol=1e-6)
-    assert panels == [12]
+    assert panels == [7]  # the coarse start, clipped at v(32)
     tight = pressure(stress, tol=1e-11)
     assert panels[1:] == [12, 8]  # the 4 worst panels bisected once
     assert tight.m_max == 32
@@ -195,7 +195,8 @@ def test_tail_bisects_then_gives_way_to_the_direct_sum(monkeypatch):
 
 def test_cryogenic_tail_evaluates_the_pinned_rows(monkeypatch):
     # the 0.2 um, 0.1 K stress case: 35 block rows (m = 1 .. M + 3) and
-    # 12 tail panels of 15 rows, with no bisection at tol = 1e-6
+    # 7 tail panels of 15 rows (the coarse start above v(32) = 0.0036),
+    # with no bisection at tol = 1e-6
     rows = []
     real_modes = core.mode_integrals
 
@@ -206,7 +207,7 @@ def test_cryogenic_tail_evaluates_the_pinned_rows(monkeypatch):
     monkeypatch.setattr(core, "mode_integrals", counting)
     res = pressure(PlateSystem(0.2e-6, 0.1, GOLD), tol=1e-6)
     assert res.m_max == 32
-    assert sum(rows) == 35 + 12 * 15
+    assert sum(rows) == 35 + 7 * 15
 
 
 def test_non_finite_tail_row_stops_the_sum(monkeypatch):
@@ -230,12 +231,14 @@ def test_non_finite_tail_row_stops_the_sum(monkeypatch):
 
 
 def test_shifts_are_unchanged():
-    # pinned on the 26-panel GK15 t mesh of sum_minus_integral with the
-    # 7-point endpoint correction through h^(5) (the 5-point one through
-    # h^(3) gave 9.954686439292977e-14 and 1.1371653564140272e-07)
+    # pinned at the rung M = 32 of sum_minus_integral's ladder on its
+    # 27-panel GK15 t mesh, with the 7-point endpoint correction through
+    # h^(5); M = 128 on the 26-panel mesh gave 9.954686439310923e-14 and
+    # 1.1371653564162462e-07, within the floors of M = 32 (1.1e-10 and
+    # 2.3e-10 of the shifts)
     system = PlateSystem(1e-6, 1.0, GOLD)
-    assert thermo.free_energy_shift(system) == 9.954686439310923e-14
-    assert thermo.pressure_shift(system) == 1.1371653564162462e-07
+    assert thermo.free_energy_shift(system) == 9.954686439422339e-14
+    assert thermo.pressure_shift(system) == 1.1371653564440887e-07
 
 
 @pytest.mark.parametrize("scale", [1.0, 10.0, 30.0])

@@ -51,7 +51,7 @@ class TestSumMinusIntegral:
     def test_split_index_invariance(self, monkeypatch):
         results = []
         for m in (64, 128, 256):
-            monkeypatch.setattr(thermo, "_M_STAR", m)
+            monkeypatch.setattr(thermo, "_RUNGS", (m,))
             results.append(sum_minus_integral(lambda u: 1.0 / (1.0 + u) ** 2)[0])
         assert max(results) - min(results) < 1e-9
 
@@ -65,7 +65,8 @@ class TestSumMinusIntegral:
     def test_floor_counts_only_real_quadrature_error(self):
         # plasma pressure shift at 0.2 um, 0.05 K: converged panels leave
         # |Kronrod - Gauss| at the roundoff level, which the floor already
-        # counts once, so the shift stands at 94 floors (42 when counted twice)
+        # counts once, so the shift stands at 377 floors at M = 32 (153 when
+        # counted twice)
         call = lambda: pressure_shift(PlateSystem(0.2e-6, 0.05, PlasmaModel(GOLD.omega_p)))
         value = call()
         delta, floor = _brackets(call, dense=False)
@@ -75,22 +76,28 @@ class TestSumMinusIntegral:
                                       rel=1e-15)
         assert abs(delta - dense) <= 5.0 * floor
 
-    def test_h_is_evaluated_once_on_522_points(self):
-        sizes = []
+    def test_h_is_evaluated_once_per_rung(self):
+        calls = []
 
         def h(u):
-            sizes.append(u.size)
+            calls.append(u.copy())
             return np.exp(-u)
 
-        sum_minus_integral(h)
-        assert sizes == [522]
+        sum_minus_integral(h)  # tol = 0: every rung
+        assert [u.size for u in calls] == [306, 92, 139]
+        u = np.concatenate(calls)
+        assert np.unique(u).size == u.size
+        calls.clear()
+        sum_minus_integral(h, 1.0 / 50.0)  # e^{-u} is resolved at M = 32
+        assert [u.size for u in calls] == [306]
 
 
 @settings(max_examples=60, deadline=None)
 @given(s=st.floats(0.2, 5.0), half_power=st.booleans())
 def test_floor_bounds_the_error_against_closed_forms(s, half_power):
     """h = e^{-su} and sqrt(u) e^{-su}: sum' h = 1/(1 - e^{-s}) - 1/2 and
-    Li_{-1/2}(e^{-s}), Integral h = 1/s and sqrt(pi)/(2 s^{3/2})."""
+    Li_{-1/2}(e^{-s}), Integral h = 1/s and sqrt(pi)/(2 s^{3/2}); at
+    every rung of the ladder."""
     with mpmath.workdps(40):
         x, ms = mpmath.exp(-s), mpmath.mpf(s)
         if half_power:
@@ -99,30 +106,34 @@ def test_floor_bounds_the_error_against_closed_forms(s, half_power):
             exact = 1 / (1 - x) - mpmath.mpf(0.5) - 1 / ms
         exact = float(exact)
     if half_power:
-        delta, floor = sum_minus_integral(lambda u: np.sqrt(u) * np.exp(-s * u))
+        rungs = list(thermo._ladder(lambda u: np.sqrt(u) * np.exp(-s * u)))
     else:
-        delta, floor = sum_minus_integral(lambda u: np.exp(-s * u))
-    assert abs(delta - exact) <= floor
+        rungs = list(thermo._ladder(lambda u: np.exp(-s * u)))
+    assert [big_m for big_m, _, _ in rungs] == [32, 64, 128]
+    for big_m, delta, floor in rungs:
+        assert abs(delta - exact) <= floor, big_m
 
 
 @settings(max_examples=30, deadline=None)
 @given(s=st.floats(1e-3, 5e-3))
 @example(s=1e-3)
 def test_floor_bounds_the_error_on_a_gaussian(s):
-    """h = e^{-s u^2} still carries weight at M = 128 (e^{-16.4} at s = 1e-3);
-    Poisson summation gives sum' h - Integral h = sqrt(pi/s) sum_{k>=1}
-    e^{-pi^2 k^2 / s}, which is 0 in double precision here. The endpoint
-    correction through h''' on 5-point stencils misses it by up to 12
+    """h = e^{-s u^2} still carries weight at every rung (e^{-1.02} at
+    M = 32 and e^{-16.4} at M = 128 for s = 1e-3); Poisson summation
+    gives sum' h - Integral h = sqrt(pi/s) sum_{k>=1} e^{-pi^2 k^2 / s},
+    which is 0 in double precision here. The endpoint correction
+    through h''' on 5-point stencils missed it at M = 128 by up to 12
     floors."""
     exact = math.sqrt(math.pi / s) * math.fsum(math.exp(-(math.pi * k) ** 2 / s)
                                                for k in range(1, 4))
-    delta, floor = sum_minus_integral(lambda u: np.exp(-s * u * u))
-    assert abs(delta - exact) <= floor
+    for big_m, delta, floor in thermo._ladder(lambda u: np.exp(-s * u * u)):
+        assert abs(delta - exact) <= floor, big_m
 
 
 def _dense_sum_minus_integral(h):
-    """Dense reference engine: 51 Gauss-Legendre panels of 20 nodes in t."""
-    m_star = thermo._M_STAR
+    """Dense reference engine: 51 Gauss-Legendre panels of 20 nodes in t,
+    split at the top rung."""
+    m_star = thermo._RUNGS[-1]
     top = math.sqrt(m_star)
     breaks = np.concatenate([[0.0], np.geomspace(1e-3, 0.4, 19),
                              np.arange(0.75, top, 0.35), [top]])
@@ -178,13 +189,13 @@ def _dense_te_h(system):
 
 
 def _brackets(call, dense):
-    """(delta, floor) that ``call`` gets from sum_minus_integral, on the
-    library's t mesh or (``dense``) on the dense reference engine."""
-    engine = _dense_sum_minus_integral if dense else sum_minus_integral
+    """(delta, floor) that ``call`` gets from sum_minus_integral at its own
+    tol, on the library's ladder or (``dense``) on the dense reference
+    engine."""
     seen = []
 
-    def spy(h):
-        seen.append(engine(h))
+    def spy(h, tol):
+        seen.append(_dense_sum_minus_integral(h) if dense else sum_minus_integral(h, tol))
         return seen[-1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -211,7 +222,7 @@ class TestDenseMeshOracle:
     def test_g_rows(self, gap, t):
         # every u > 0 at which sum_minus_integral evaluates h; measured
         # worst 5e-15 of the set's max |g|
-        m = np.concatenate([np.arange(1.0, thermo._M_STAR + 4.0),
+        m = np.concatenate([np.arange(1.0, thermo._RUNGS[-1] + 4.0),
                             gk_panels(thermo._t_mesh())[0] ** 2])
         system = PlateSystem(gap, t, GOLD)
         reference = _dense_g_many(system, m)
@@ -262,7 +273,7 @@ class TestDeltaFTeNumeric:
     def test_split_index_invariance(self, monkeypatch):
         vals = []
         for m in (96, 128, 192):
-            monkeypatch.setattr(thermo, "_M_STAR", m)
+            monkeypatch.setattr(thermo, "_RUNGS", (m,))
             vals.append(delta_f_te_numeric(PlateSystem(1e-6, 0.01, GOLD)))
         assert (max(vals) - min(vals)) / vals[1] < 1e-8
 
@@ -278,27 +289,32 @@ class TestDeltaFTeNumeric:
     @pytest.mark.parametrize("t", [1e-3, 1e-2, 0.2])
     def test_is_the_te_shift_of_the_skin_effect_metal(self, gap, t):
         """The expansion is the exact TE shift of eps - 1 = D / zeta, on
-        the same rows, bracket and prefactor."""
+        the same rows, rung, bracket and prefactor at the same tol."""
         skin = _SkinEffectMetal(GOLD.omega_p ** 2 / GOLD.nu)
-        exact = free_energy_shift(PlateSystem(gap, t, skin), polarization="te")
+        exact = thermo._thermal_shift(PlateSystem(gap, t, skin), "energy", "te", 1e-9)
         assert delta_f_te_numeric(PlateSystem(gap, t, GOLD)) == exact
 
     def test_tol_is_held_against_the_floor(self, monkeypatch):
+        # each call returns the first rung whose floor is within tol of its
+        # bracket; here the floor ratio falls with M (measured 9.5e-10,
+        # 8.3e-11 and 3.2e-11), so 1.5 times a rung's ratio selects it
         system = PlateSystem(0.2e-6, 0.002, GOLD)
-        seen = []
+        rungs = []
 
-        def spy(h):
-            seen.append(sum_minus_integral(h))
-            return seen[-1]
+        def spy(h, tol):
+            rungs[:] = thermo._ladder(h)
+            return sum_minus_integral(h, tol)
 
         monkeypatch.setattr(thermo, "sum_minus_integral", spy)
         value = delta_f_te_numeric(system)
-        delta, floor = seen[0]
-        ratio = floor / abs(delta)
-        assert 0.0 < ratio < 1e-10
-        assert delta_f_te_numeric(system, tol=2.0 * ratio) == value
+        pref = _prefactor(system, "energy")
+        ratios = [floor / abs(delta) for _, delta, floor in rungs]
+        assert ratios == sorted(ratios, reverse=True) and 0.0 < ratios[-1] < 1e-10
+        assert ratios[0] <= 1e-9 and value == pref * rungs[0][1]
+        for (_, delta, _), ratio in zip(list(rungs), ratios):  # each call refills rungs
+            assert delta_f_te_numeric(system, tol=1.5 * ratio) == pref * delta
         with pytest.raises(PrecisionError):
-            delta_f_te_numeric(system, tol=0.5 * ratio)
+            delta_f_te_numeric(system, tol=0.5 * ratios[-1])
 
     def test_validation(self):
         with pytest.raises(TypeError):
@@ -316,7 +332,7 @@ class TestPrecisionRule:
 
     @staticmethod
     def _call(monkeypatch, fn, system, delta, floor):
-        monkeypatch.setattr(thermo, "sum_minus_integral", lambda h: (delta, floor))
+        monkeypatch.setattr(thermo, "sum_minus_integral", lambda h, tol: (delta, floor))
         return fn(system)
 
     @pytest.mark.parametrize("fn, kind", [(free_energy_shift, "energy"),
@@ -488,6 +504,20 @@ class TestFitLowTemp:
         assert grid.size == 12
         assert grid[0] == pytest.approx(2e-3)
         assert grid[-1] == pytest.approx(6e-2)
+
+    @pytest.mark.parametrize("gap", [2e-6, 4e-6, 8e-6])
+    def test_default_grid_follows_the_gap(self, gap):
+        # c2 grows as the gap: on the fixed 2-60 mK grid the fit missed its
+        # residual bound from 2 um up (0.106 at 2 um, 2.47 at 8 um). With
+        # the grid scaled by (1 um / a)^2 the fit is the 1 um one, d2 scaled
+        # by a (measured residual 1.73e-2, d1 -0.41%, d2 -6.25%).
+        samples = collect_lowtemp_samples(GOLD, gap)
+        assert samples[-1][0] == pytest.approx(6e-2 * (1e-6 / gap) ** 2, rel=1e-12)
+        fit = fit_low_temp(samples)
+        co = coefficients(GOLD, gap)
+        assert fit.residual_norm < 0.02
+        assert fit.d1 == pytest.approx(co.c1, rel=0.01)
+        assert fit.d2 == pytest.approx(co.c2, rel=0.07)
 
     def test_collected_samples_structure(self):
         grid = np.geomspace(2e-3, 2e-2, 8)

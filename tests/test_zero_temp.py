@@ -10,7 +10,7 @@ from lifshitz.constants import C_LIGHT, HBAR
 from lifshitz.core import IdealMetal, PlateSystem, mode_integrals
 from lifshitz.dispersion import GOLD, PlasmaModel, TabulatedPermittivity, load_permittivity_table
 from lifshitz.errors import ConvergenceError
-from lifshitz import zero_temp
+from lifshitz import core, zero_temp
 from lifshitz.quadrature import gk_panels
 from lifshitz.zero_temp import free_energy_T0, ideal_metal_T0
 
@@ -117,7 +117,22 @@ def test_matches_the_two_dimensional_engine(name, gap, pinned, tol):
     res = free_energy_T0(gap, _T0_MODELS[name], tol=tol)
     assert abs(res.f0 - pinned) <= tol * abs(res.f0)
     assert res.error_estimate <= tol * abs(res.f0)
-    assert res.evaluations >= 210 and res.evaluations % 15 == 0
+    # 8 panels at tol >= 1e-8, 14 below it, before any bisection
+    assert res.evaluations >= (120 if tol >= 1e-8 else 210) and res.evaluations % 15 == 0
+
+
+@pytest.mark.parametrize("name, gap", [pin[:2] for pin in _T0_PINS] + [("ideal", 8e-6)])
+def test_loose_tol_starts_on_eight_panels(name, gap, monkeypatch):
+    # at tol >= 1e-8 the 8-panel subset of the breaks meets tol without
+    # bisection and stays within roundoff of the 14-panel start (measured
+    # at most 1.35e-13 over these models at 0.2-8 um)
+    model = IdealMetal() if name == "ideal" else _T0_MODELS[name]
+    coarse = free_energy_T0(gap, model, tol=1e-8)
+    monkeypatch.setattr(core, "_COARSE_TOL", 1.0)
+    full = free_energy_T0(gap, model, tol=1e-8)
+    assert (coarse.evaluations, full.evaluations) == (120, 210)
+    assert coarse.error_estimate <= 2e-9 * abs(coarse.f0)
+    assert abs(coarse.f0 - full.f0) <= 2e-13 * abs(full.f0)
 
 
 @settings(max_examples=40, deadline=None)
