@@ -1,10 +1,13 @@
 """Command-line interface: computations, sweeps, fits, and data export.
 
-Every command emits one table, as CSV ('#'-prefixed header comments,
-comma separators) or as a JSON object {config, columns, rows,
-diagnostics}. All floats are rounded to 9 significant digits before
-encoding, so repeated runs with the same configuration are
-byte-identical and both formats carry exactly the same values.
+Every command fills one table, which ``main`` writes as CSV
+('#'-prefixed header comments, comma separators) or as a JSON object
+{config, columns, rows, diagnostics}. CSV prints floats with 9
+significant digits and JSON rounds them to the same digits, so repeated
+runs with the same configuration are byte-identical and both formats
+carry exactly the same values. When a command fails after its first
+row, the finished rows are written with an ``error`` diagnostic and the
+exit status is 1; a failure before the first row writes no table.
 """
 
 from __future__ import annotations
@@ -38,21 +41,16 @@ TABLE1_REFERENCE = {
 
 
 def _round9(value):
-    """Round to 9 significant digits for deterministic output."""
-    if value is None:
-        return None
-    v = float(value)
-    if not np.isfinite(v):
-        return v
-    return float(f"{v:.9g}")
+    """A finite float rounded to the 9 significant digits CSV prints."""
+    if isinstance(value, float) and np.isfinite(value):
+        return float(f"{value:.9g}")
+    return value
 
 
 def _fmt(value):
     if value is None:
         return ""
     if isinstance(value, float):
-        if np.isnan(value):
-            return "nan"
         return f"{value:.9g}"
     return str(value)
 
@@ -84,40 +82,38 @@ def build_model(args):
                           ev_to_rad_per_s(args.nu_mev / 1000.0))
     if args.material == "plasma":
         return PlasmaModel(ev_to_rad_per_s(args.omega_p_ev))
-    if args.material == "table":
-        if not args.table_path:
-            raise ValueError("--table-path is required with --material table")
-        return load_permittivity_table(args.table_path)
-    raise ValueError(f"unknown material {args.material!r}")
+    if not args.table_path:
+        raise ValueError("--table-path is required with --material table")
+    return load_permittivity_table(args.table_path)
+
+
+def _drude_model(args):
+    """The Drude model, which the low-temperature expansion needs."""
+    model = build_model(args)
+    if not isinstance(model, DrudeModel):
+        raise ValueError(f"{args.command} requires --material drude")
+    return model
 
 
 class Emitter:
-    """Accumulates rows and writes CSV or JSON with identical values."""
+    """One table: a command sets ``columns``, adds to ``config`` and
+    ``diagnostics`` and appends ``rows``; ``render`` writes CSV or JSON
+    with identical values."""
 
-    def __init__(self, config: dict, columns: list):
-        self.config = {k: _round9(v) if isinstance(v, float) else v
-                       for k, v in config.items()}
-        self.columns = columns
+    def __init__(self, config: dict):
+        self.config = config
+        self.columns = []
         self.rows = []
         self.diagnostics = {}
 
-    def add_row(self, values):
-        if len(values) != len(self.columns):
-            raise ValueError("row length does not match columns")
-        self.rows.append([_round9(v) if isinstance(v, (float, np.floating))
-                          else v for v in values])
-
-    def add_diagnostic(self, key, value):
-        self.diagnostics[key] = (_round9(value)
-                                 if isinstance(value, (float, np.floating))
-                                 else value)
-
     def render(self, fmt: str) -> str:
         if fmt == "json":
-            payload = {"config": self.config, "columns": self.columns,
+            payload = {"config": {k: _round9(v) for k, v in self.config.items()},
+                       "columns": self.columns,
                        "rows": [[None if isinstance(v, float) and not np.isfinite(v)
-                                 else v for v in row] for row in self.rows],
-                       "diagnostics": self.diagnostics}
+                                 else _round9(v) for v in row] for row in self.rows],
+                       "diagnostics": {k: _round9(v)
+                                       for k, v in self.diagnostics.items()}}
             return json.dumps(payload, indent=2, sort_keys=True) + "\n"
         lines = []
         for key in sorted(self.config):
@@ -139,147 +135,103 @@ def _write(args, emitter: Emitter):
         sys.stdout.write(text)
 
 
-def _config_dict(args, **extra):
-    cfg = {"command": args.command, "material": args.material,
-           "omega_p_ev": args.omega_p_ev, "nu_mev": args.nu_mev,
-           "format": args.format}
-    if args.table_path:
-        cfg["table_path"] = args.table_path
-    cfg.update(extra)
-    return cfg
-
-
-def _temperature_scan(args, columns, row):
-    """One row per temperature of --temp at the fixed --gap.
+def _grid(args, table, columns, row, gaps=None, **config):
+    """One row per gap of the range ``gaps`` (--gap when None) and
+    temperature of --temp.
 
     ``row(system)`` gives the values of ``columns``, which follow
-    gap_m and temperature_K.
+    gap_m and temperature_K; ``config`` joins --temp in the table's
+    config.
     """
     model = build_model(args)
+    gaps = [args.gap] if gaps is None else parse_range(gaps)
     temps = parse_range(args.temp)
-    em = Emitter(_config_dict(args, gap_m=args.gap, temp=args.temp,
-                              tol=args.tol),
-                 ["gap_m", "temperature_K"] + columns)
-    for t in temps:
-        em.add_row([args.gap, float(t)] + row(PlateSystem(args.gap, float(t), model)))
-    _write(args, em)
-    return 0
+    table.config.update(temp=args.temp, **config)
+    table.columns = ["gap_m", "temperature_K"] + columns
+    for g in gaps:
+        for t in temps:
+            system = PlateSystem(float(g), float(t), model)
+            table.rows.append([float(g), float(t)] + row(system))
 
 
-def cmd_pressure(args):
+def cmd_pressure(args, table):
     def row(system):
         res = pressure(system, tol=args.tol)
         return [res.pressure, res.tm_part, res.te_part, res.m_max, res.tail_estimate]
-    return _temperature_scan(
-        args, ["pressure_Pa", "tm_part_Pa", "te_part_Pa", "m_last", "tail_Pa"], row)
+    _grid(args, table, ["pressure_Pa", "tm_part_Pa", "te_part_Pa", "m_last", "tail_Pa"],
+          row, gap_m=args.gap, tol=args.tol)
 
 
-def cmd_free_energy(args):
+def cmd_free_energy(args, table):
     temps = parse_range(args.temp)
     if np.any(temps == 0.0):
         if temps.size != 1:
             raise ValueError("T = 0 must be requested as a scalar, not a range")
-        return cmd_zero_temp(args)
+        return cmd_zero_temp(args, table)
 
     def row(system):
         res = free_energy(system, tol=args.tol)
         return [res.total, res.tm_part, res.te_part, res.m_max, res.tail_estimate]
-    return _temperature_scan(
-        args, ["free_energy_J_m2", "tm_part_J_m2", "te_part_J_m2", "m_last", "tail_J_m2"],
-        row)
+    _grid(args, table,
+          ["free_energy_J_m2", "tm_part_J_m2", "te_part_J_m2", "m_last", "tail_J_m2"],
+          row, gap_m=args.gap, tol=args.tol)
 
 
-def cmd_zero_temp(args):
-    model = build_model(args)
-    res = free_energy_T0(args.gap, model, tol=args.tol)
-    em = Emitter(_config_dict(args, gap_m=args.gap, tol=args.tol),
-                 ["gap_m", "free_energy_J_m2", "tm_part_J_m2",
-                  "te_part_J_m2", "error_estimate_J_m2", "evaluations"])
-    em.add_row([args.gap, res.f0, res.tm_part, res.te_part,
-                res.error_estimate, res.evaluations])
-    _write(args, em)
-    return 0
+def cmd_zero_temp(args, table):
+    res = free_energy_T0(args.gap, build_model(args), tol=args.tol)
+    table.config.update(gap_m=args.gap, tol=args.tol)
+    table.columns = ["gap_m", "free_energy_J_m2", "tm_part_J_m2",
+                     "te_part_J_m2", "error_estimate_J_m2", "evaluations"]
+    table.rows.append([args.gap, res.f0, res.tm_part, res.te_part,
+                       res.error_estimate, res.evaluations])
 
 
-def cmd_entropy(args):
-    return _temperature_scan(args, ["entropy_J_m2K"],
-                             lambda system: [entropy(system, tol=args.tol)])
+def cmd_entropy(args, table):
+    _grid(args, table, ["entropy_J_m2K"], lambda system: [entropy(system)],
+          gap_m=args.gap)
 
 
-def cmd_sweep(args):
-    model = build_model(args)
-    gaps = parse_range(args.gap_range)
-    temps = parse_range(args.temp)
-    em = Emitter(_config_dict(args, gap=args.gap_range, temp=args.temp,
-                              tol=args.tol),
-                 ["gap_m", "temperature_K", "free_energy_J_m2", "pressure_Pa"])
-    try:
-        for g in gaps:
-            for t in temps:
-                system = PlateSystem(float(g), float(t), model)
-                f = free_energy(system, tol=args.tol)
-                p = pressure(system, tol=args.tol)
-                em.add_row([float(g), float(t), f.total, p.pressure])
-    except Exception as exc:
-        # flush whatever finished before the failure
-        em.add_diagnostic("error", f"{type(exc).__name__}: {exc}")
-        _write(args, em)
-        print(f"error: sweep failed after {len(em.rows)} points: {exc}",
-              file=sys.stderr)
-        return 1
-    _write(args, em)
-    return 0
+def cmd_sweep(args, table):
+    def row(system):
+        return [free_energy(system, tol=args.tol).total,
+                pressure(system, tol=args.tol).pressure]
+    _grid(args, table, ["free_energy_J_m2", "pressure_Pa"], row,
+          gaps=args.gap_range, gap=args.gap_range, tol=args.tol)
 
 
-def cmd_asymptotics(args):
-    model = build_model(args)
-    if not isinstance(model, DrudeModel):
-        raise ValueError("asymptotics requires --material drude")
+def cmd_asymptotics(args, table):
+    model = _drude_model(args)
     co = coefficients(model, args.gap)
     slope = g_slope_at_zero(PlateSystem(args.gap, 1e-4, model))
-    columns = ["gap_m", "c1_J_m2K2", "c2_per_sqrtK", "g_slope_at_zero",
-               "g_slope_integral"]
-    em = Emitter(_config_dict(args, gap_m=args.gap, temp=args.temp),
-                 columns + (["temperature_K", "delta_f_pade_J_m2"]
-                            if args.temp else []))
+    table.config.update(gap_m=args.gap, temp=args.temp)
+    table.columns = ["gap_m", "c1_J_m2K2", "c2_per_sqrtK", "g_slope_at_zero",
+                     "g_slope_integral"]
     base = [args.gap, co.c1, co.c2, slope, te_slope_integral()]
     if args.temp:
+        table.columns += ["temperature_K", "delta_f_pade_J_m2"]
         for t in parse_range(args.temp):
-            em.add_row(base + [float(t), pade_delta_f(co, float(t))])
+            table.rows.append(base + [float(t), pade_delta_f(co, float(t))])
     else:
-        em.add_row(base)
-    _write(args, em)
-    return 0
+        table.rows.append(base)
 
 
-def cmd_fit_lowtemp(args):
-    model = build_model(args)
-    if not isinstance(model, DrudeModel):
-        raise ValueError("fit-lowtemp requires --material drude")
-    if args.temp:
-        grid = parse_range(args.temp)
-    else:
-        grid = None
+def cmd_fit_lowtemp(args, table):
+    model = _drude_model(args)
+    grid = parse_range(args.temp) if args.temp else None
     samples = collect_lowtemp_samples(model, args.gap, t_grid=grid,
                                       tol=args.tol)
     fit = fit_low_temp(samples)
-    em = Emitter(_config_dict(args, gap_m=args.gap, tol=args.tol),
-                 ["temperature_K", "delta_f_numeric_J_m2", "delta_f_model_J_m2"])
+    table.config.update(gap_m=args.gap, tol=args.tol)
+    table.columns = ["temperature_K", "delta_f_numeric_J_m2", "delta_f_model_J_m2"]
     for t, df in fit.grid:
         modeled = fit.d1 * (t ** 2 - fit.d2 * t ** 2.5 + fit.d3 * t ** 3)
-        em.add_row([t, df, modeled])
-    em.add_diagnostic("d1_J_m2K2", fit.d1)
-    em.add_diagnostic("d2_per_sqrtK", fit.d2)
-    em.add_diagnostic("d3_per_K", fit.d3)
-    em.add_diagnostic("residual_norm", fit.residual_norm)
-    _write(args, em)
-    return 0
+        table.rows.append([t, df, modeled])
+    table.diagnostics.update(d1_J_m2K2=fit.d1, d2_per_sqrtK=fit.d2,
+                             d3_per_K=fit.d3, residual_norm=fit.residual_norm)
 
 
-def cmd_r_series(args):
-    model = build_model(args)
-    if not isinstance(model, DrudeModel):
-        raise ValueError("r-series requires --material drude")
+def cmd_r_series(args, table):
+    model = _drude_model(args)
     grid = parse_range(args.temp) if args.temp else default_fit_grid()
     co = coefficients(model, args.gap)
 
@@ -288,56 +240,48 @@ def cmd_r_series(args):
                                   tol=args.tol)
 
     series = r_series(co, numeric, grid)
-    em = Emitter(_config_dict(args, gap_m=args.gap, tol=args.tol),
-                 ["temperature_K", "r_value"])
+    table.config.update(gap_m=args.gap, tol=args.tol)
+    table.columns = ["temperature_K", "r_value"]
     for t, r in series.samples:
-        em.add_row([t, r])
-    em.add_diagnostic("intercept", series.intercept)
-    em.add_diagnostic("intercept_uncertainty", series.intercept_uncertainty)
-    em.add_diagnostic("slope_at_origin_per_K", series.slope_at_origin)
-    em.add_diagnostic("correlation", series.correlation)
-    em.add_diagnostic("c1_J_m2K2", co.c1)
-    em.add_diagnostic("c2_per_sqrtK", co.c2)
-    _write(args, em)
-    return 0
+        table.rows.append([t, r])
+    table.diagnostics.update(
+        intercept=series.intercept,
+        intercept_uncertainty=series.intercept_uncertainty,
+        slope_at_origin_per_K=series.slope_at_origin,
+        correlation=series.correlation, c1_J_m2K2=co.c1, c2_per_sqrtK=co.c2)
 
 
-def cmd_coeff_surface(args):
+def cmd_coeff_surface(args, table):
     model = build_model(args)
     zeta = parse_range(args.zeta_range)
     kperp = parse_range(args.kperp_range)
     surf = coefficient_surface(model, zeta, kperp)
-    em = Emitter(_config_dict(args, zeta=args.zeta_range,
-                              kperp=args.kperp_range),
-                 ["zeta_rad_s", "kperp_per_m", "a_tm", "b_te"])
+    table.config.update(zeta=args.zeta_range, kperp=args.kperp_range)
+    table.columns = ["zeta_rad_s", "kperp_per_m", "a_tm", "b_te"]
     for i, z in enumerate(surf.zeta):
         for j, q in enumerate(surf.kperp):
-            em.add_row([float(z), float(q), float(surf.a_tm[i, j]),
-                        float(surf.b_te[i, j])])
-    _write(args, em)
-    return 0
+            table.rows.append([float(z), float(q), float(surf.a_tm[i, j]),
+                               float(surf.b_te[i, j])])
 
 
-def cmd_table1(args):
+def cmd_table1(args, table):
     model = build_model(args)
     gaps = ([float(g) for g in args.gaps.split(",")] if args.gaps
             else [0.2, 0.5, 1.0, 2.0, 3.0, 4.0])
     temps = ([float(t) for t in args.temps.split(",")] if args.temps
              else [1.0, 300.0, 350.0])
-    em = Emitter(_config_dict(args, tol=args.tol),
-                 ["gap_um", "temperature_K", "computed_mPa",
-                  "reference_mPa", "rel_deviation"])
-    for g in gaps:
-        for t in temps:
-            key = (g, t)
-            if key not in TABLE1_REFERENCE:
-                raise ValueError(f"no reference value for gap {g} um, T {t} K")
-            res = pressure(PlateSystem(g * 1e-6, t, model), tol=args.tol)
-            computed = abs(res.pressure) * 1e3
-            ref = TABLE1_REFERENCE[key]
-            em.add_row([g, t, computed, ref, (computed - ref) / ref])
-    _write(args, em)
-    return 0
+    cells = [(g, t) for g in gaps for t in temps]
+    for g, t in cells:
+        if (g, t) not in TABLE1_REFERENCE:
+            raise ValueError(f"no reference value for gap {g} um, T {t} K")
+    table.config.update(tol=args.tol)
+    table.columns = ["gap_um", "temperature_K", "computed_mPa",
+                     "reference_mPa", "rel_deviation"]
+    for g, t in cells:
+        res = pressure(PlateSystem(g * 1e-6, t, model), tol=args.tol)
+        computed = abs(res.pressure) * 1e3
+        ref = TABLE1_REFERENCE[(g, t)]
+        table.rows.append([g, t, computed, ref, (computed - ref) / ref])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_zero_temp)
 
     p = sub.add_parser("entropy", help="entropy per unit area")
-    add_common(p, temp="required", tol=1e-9)
+    add_common(p, temp="required", tol=None)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("sweep", help="free energy and pressure on a grid")
@@ -422,13 +366,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    config = {"command": args.command, "material": args.material,
+              "omega_p_ev": args.omega_p_ev, "nu_mev": args.nu_mev,
+              "format": args.format}
+    if args.table_path:
+        config["table_path"] = args.table_path
+    table = Emitter(config)
     try:
-        return args.func(args)
+        args.func(args, table)
     except (LifshitzError, ValueError, OSError) as exc:
+        if not table.rows:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        table.diagnostics["error"] = f"{type(exc).__name__}: {exc}"
+        print(f"error: {args.command} failed after {len(table.rows)} points: {exc}",
+              file=sys.stderr)
+    try:
+        _write(args, table)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 1 if "error" in table.diagnostics else 0
 
 
 if __name__ == "__main__":

@@ -352,15 +352,15 @@ def r_series(coeffs: AsymptoticCoefficients, numeric: Callable,
                    correlation=corr)
 
 
-def entropy(system: PlateSystem, tol: float = 1e-9) -> float:
+def entropy(system: PlateSystem) -> float:
     """Entropy per unit area S = -dF/dT at ``system.temperature``, J/(m^2 K).
 
     Differentiates the thermal shift F(T) - F(0) (the T = 0 part drops
     out of the derivative), with a Richardson-extrapolated central
-    difference at step h = max(T/10, 1e-4 K). ``tol`` is not applied
-    yet: each of the four shifts comes from the first rung of
-    ``sum_minus_integral`` that holds the 50-floor rule of
-    ``_thermal_shift``.
+    difference at step h = max(T/10, 1e-4 K). It takes no tolerance:
+    the step size sets its error, and each of the four shifts comes
+    from the first rung of ``sum_minus_integral`` that holds the
+    50-floor rule of ``_thermal_shift``.
     """
     t0 = system.temperature
     h = max(t0 / 10.0, 1e-4)
@@ -382,7 +382,7 @@ def entropy(system: PlateSystem, tol: float = 1e-9) -> float:
     if fd_err > 0.5 * abs(s_val) + 1e-30:
         raise PrecisionError(
             f"entropy finite difference unresolved: S = {s_val:.3e}, "
-            f"step-halving change {fd_err:.3e}; raise T or tighten tol")
+            f"step-halving change {fd_err:.3e}; raise T")
     return s_val
 
 

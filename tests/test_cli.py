@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lifshitz import cli
 from lifshitz.cli import main, parse_range
 
 
@@ -51,16 +52,33 @@ class TestDeterminism:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
-    def test_csv_and_json_encode_equal_values(self, capsys):
-        base = ("pressure", "--gap", "1e-6", "--temp", "100:300:3:lin")
-        _, out_csv, _ = run_cli(capsys, *base, "--format", "csv")
-        _, out_json, _ = run_cli(capsys, *base, "--format", "json")
+    @pytest.mark.parametrize("args", [
+        ("pressure", "--gap", "1e-6", "--temp", "100:300:3:lin"),
+        ("free-energy", "--gap", "1e-6", "--temp", "300"),
+        ("zero-temp", "--gap", "1e-6"),
+        ("entropy", "--gap", "1e-6", "--temp", "0.01"),
+        ("sweep", "--gap", "1e-6:2e-6:2:log", "--temp", "300"),
+        ("asymptotics", "--gap", "1e-6", "--temp", "0.001:0.1:3:log"),
+        ("fit-lowtemp", "--gap", "1e-6"),
+        ("r-series", "--gap", "1e-6", "--temp", "2e-3:2e-2:4:log"),
+        ("coeff-surface", "--zeta-range", "1e14:1e16:3:log", "--kperp-range", "1e4:1e8:5:log"),
+        ("table1", "--gaps", "0.5", "--temps", "300"),
+    ], ids=lambda args: args[0])
+    def test_csv_and_json_encode_equal_values(self, capsys, args):
+        _, out_csv, _ = run_cli(capsys, *args, "--format", "csv")
+        _, out_json, _ = run_cli(capsys, *args, "--format", "json")
         header, rows = csv_rows(out_csv)
         payload = json.loads(out_json)
         assert payload["columns"] == header
+        assert len(payload["rows"]) == len(rows) > 0
         for csv_row, json_row in zip(rows, payload["rows"]):
             for c, j in zip(csv_row, json_row):
-                assert float(c) == float(j)
+                assert c == "nan" if j is None else float(c) == float(j)
+        comments = dict(line[2:].split(" = ", 1)
+                        for line in out_csv.splitlines() if line.startswith("# "))
+        for key, value in {**payload["config"], **payload["diagnostics"]}.items():
+            if isinstance(value, float):
+                assert float(comments[key]) == value
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"
@@ -204,6 +222,13 @@ class TestTable1:
         assert rc == 1
         assert "reference" in err
 
+    def test_unknown_cell_rejected_before_any_pressure(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "pressure", lambda *a, **k: calls.append(a))
+        rc, out, err = run_cli(capsys, "table1", "--gaps", "0.5,0.7")
+        assert (rc, out, calls) == (1, "", [])
+        assert err == "error: no reference value for gap 0.7 um, T 1.0 K\n"
+
 
 class TestFailureModes:
     def test_bad_range_spec(self, capsys):
@@ -261,6 +286,19 @@ class TestFailureModes:
         assert len(rows) == 1  # the 300 K point survived
         assert "# error = " in text
         assert "failed after 1 points" in err
+
+    def test_a_temperature_range_keeps_its_finished_rows(self, capsys):
+        rc, out, err = run_cli(capsys, "pressure", "--gap", "1e-6", "--temp", "300:0:2:lin")
+        assert rc == 1
+        _, rows = csv_rows(out)
+        assert [float(r[1]) for r in rows] == [300.0]
+        assert "# error = ValueError: temperature must be finite" in out
+        assert "error: pressure failed after 1 points" in err
+
+    def test_a_failure_before_the_first_row_writes_no_table(self, capsys):
+        rc, out, err = run_cli(capsys, "sweep", "--gap", "1e-6", "--temp", "0:300:2:lin")
+        assert (rc, out) == (1, "")
+        assert err == "error: temperature must be finite and > 0 K, got 0.0\n"
 
     def test_negative_gap(self, capsys):
         rc, _, err = run_cli(capsys, "pressure", "--gap=-1e-6", "--temp", "300")

@@ -1,4 +1,5 @@
 """No module of the package imports a name it does not use or keeps a dead private one,
+no function of it has a parameter it never reads,
 the README imports from ``lifshitz`` only names of ``lifshitz.__all__``, and importing
 the package, building the CLI parser, loading a table or making a table-backed call
 leaves scipy unloaded."""
@@ -76,6 +77,41 @@ def test_the_check_sees_an_unread_private_name():
 
 def test_no_unread_private_name():
     assert unread_private_names([p.read_text() for p in sorted(_PACKAGE.glob("*.py"))]) == []
+
+
+def unread_parameters(source: str, module: str) -> list:
+    """``module.function: name`` for each parameter its function or lambda never reads.
+
+    A read is an ``ast.Name`` in load context anywhere in the body, nested
+    functions included; ``self``, ``cls`` and ``_``-prefixed names are skipped.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"{module}.{getattr(node, 'name', '<lambda>')}: {p.arg}" for p in params
+                      if p.arg not in read | {"self", "cls"} and not p.arg.startswith("_")]
+    return sorted(found)
+
+
+def test_the_check_sees_an_unread_parameter():
+    source = ("def f(a, b, *args, c, _d, **kw):\n    return a + kw['x']\n\n"
+              "class K:\n    def m(self, x):\n        def inner():\n            return x\n"
+              "        return inner\n\n    @classmethod\n    def n(cls, y):\n        pass\n\n"
+              "g = lambda u, v: u\n")
+    assert unread_parameters(source, "m") == [
+        "m.<lambda>: v", "m.f: args", "m.f: b", "m.f: c", "m.n: y"]
+
+
+def test_no_unread_parameter():
+    found = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        found += unread_parameters(path.read_text(), path.stem)
+    assert found == []
 
 
 def readme_imports(text: str) -> list:
