@@ -60,7 +60,7 @@ only for tol below about 1e-12), the direct sum goes on instead.
 The tail's panels and bisection loop (``_tail_panels``,
 ``_bisect_panels``) also give the T = 0 free energy in ``zero_temp``:
 the same integral over the continuous index, from u = 0 with
-zeta_1 = c / 2a.
+zeta_1 = c / 2a. The loop also bisects the thermal shifts' t panels.
 """
 
 from __future__ import annotations
@@ -453,30 +453,37 @@ def _tail_panels(model, gap, zeta1, kind, lo, hi):
     return tm, te, gk_err, row_err
 
 
-def _bisect_panels(evaluate, lo, hi, target, fixed_extra=0.0):
-    """Integrate over the v panels [lo, hi], bisecting until ``target`` is met.
+def _bisect_panels(evaluate, lo, hi, target, fixed_extra=0.0, start=None):
+    """Integrate over the panels [lo, hi], bisecting until ``target`` is met.
 
     ``evaluate(lo, hi)`` returns per-panel (tm, te, gk_err, row_err) as
-    ``_tail_panels`` does, and ``target(tm, te)`` the error allowed for
-    the panel sums tm, te. The error estimate is a fixed part, the rows'
-    errors plus ``fixed_extra``, and |Kronrod - Gauss|. Each round
-    bisects the 4 panels with the largest |Kronrod - Gauss|. It gives up
-    when the fixed part alone misses the target, or at _TAIL_PANEL_CAP
-    panels. Returns (tm, te, error, met, panels evaluated); raises
+    ``_tail_panels`` does (``thermo._t_panels`` for the thermal shifts);
+    ``start``, when given, is that tuple for [lo, hi] already evaluated.
+    ``target(tm, te, fixed)`` is the error allowed for the panel sums tm,
+    te when the fixed part is ``fixed``. The error estimate is that
+    fixed part, the rows' errors plus ``fixed_extra``, and the panels'
+    quadrature errors ``gk_err``. Each round bisects the 4 panels with
+    the largest ``gk_err``. It gives up when the fixed part alone misses
+    the target, or at _TAIL_PANEL_CAP panels. Returns (tm, te, error,
+    met, panels evaluated, (lo, hi, per-panel tuple)); raises
     ConvergenceError if a panel is not finite.
     """
-    tm, te, gk_err, row_err = evaluate(lo, hi)
-    evaluated = lo.size
+    if start is None:
+        start, evaluated = evaluate(lo, hi), lo.size
+    else:
+        evaluated = 0
+    tm, te, gk_err, row_err = start
     while True:
         if not np.all(np.isfinite(tm + te)):
             raise ConvergenceError("panel integral is not finite",
                                    best_estimate=math.nan, error_estimate=math.inf)
         tm_sum, te_sum = fsum(tm), fsum(te)
-        allowed = target(tm_sum, te_sum)
         fixed = float(row_err.sum()) + fixed_extra
+        allowed = target(tm_sum, te_sum, fixed)
         error = fixed + float(gk_err.sum())
         if error <= allowed or fixed > allowed or lo.size >= _TAIL_PANEL_CAP:
-            return tm_sum, te_sum, error, error <= allowed, evaluated
+            return (tm_sum, te_sum, error, error <= allowed, evaluated,
+                    (lo, hi, (tm, te, gk_err, row_err)))
         k = min(4, lo.size)  # bisect the k worst panels
         worst = np.argpartition(gk_err, -k)[-k:]
         mid = 0.5 * (lo[worst] + hi[worst])
@@ -513,10 +520,10 @@ def _em_tail(model, gap, zeta1, kind, tol, big_m, h_tm, h_te, head, kept):
         return None
     ends_tm, ends_te = c_tm - 0.5 * h_tm[3], c_te - 0.5 * h_te[3]
     try:
-        tm, te, error, met, _ = _bisect_panels(
+        tm, te, error, met, _, _ = _bisect_panels(
             lambda lo, hi: _tail_panels(model, gap, zeta1, kind, lo, hi),
             breaks[:-1], breaks[1:],
-            lambda tm, te: tol * abs(head + (tm + ends_tm) + (te + ends_te)) / 10.0,
+            lambda tm, te, _: tol * abs(head + (tm + ends_tm) + (te + ends_te)) / 10.0,
             remainder)
     except ConvergenceError:
         _raise_non_finite(kept, "Euler-Maclaurin tail")

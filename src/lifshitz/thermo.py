@@ -12,8 +12,8 @@ smooth part of any quadrature bias cancels structurally. The difference
 itself is computed by splitting at an index M: below M the sum and
 integral are evaluated directly (the integral in the variable t =
 sqrt(u), which absorbs the half-power behaviour of h at the origin, on
-GK15 panels); above M both tails are identical up to endpoint
-derivative corrections,
+GK15 panels bisected to tol); above M both tails are identical up to
+endpoint derivative corrections,
 
     sum' h - int h = [sum''_0^M h - int_0^M h] - h'(M)/12 + h'''(M)/720
                      - h^(5)(M)/30240 + ...,
@@ -22,16 +22,19 @@ with the double prime marking half weight at both ends. The difference
 comes with an error floor: the cancellation roundoff, the panels'
 quadrature error and a bound on the Euler-Maclaurin remainder. M is
 the first rung of the nested ladder 32, 64, 128 whose floor is within
-tol of the difference; each rung evaluates h only on the integers and
-t panels that the rungs below it did not reach. The roundoff grows with
-M and the remainder falls, so a slowly decaying h (small kappa) is
-resolved best at M = 32 and a fast one may need 64 or 128. Every
-thermal shift is one bracket, ``_thermal_shift``, which raises
-PrecisionError when no rung's floor is within tol of it: tol = 1/50
-for the public shifts (met at M = 32 for gold from 1 mK to 10 K), the
+tol of the difference. Each rung evaluates h on the integers and start
+panels that the rungs below it did not reach, then bisects (with
+``core._bisect_panels``, the loop of the T = 0 integral and the tail)
+until its quadrature error is within tol |delta| or within the rest of
+its floor. The roundoff grows with M and the remainder falls, so a
+slowly decaying h (small kappa) is resolved best at M = 32 and a fast
+one may need 64 or 128. Every thermal shift is one bracket,
+``_thermal_shift``, which raises PrecisionError when no rung's floor is
+within tol of it: tol = 1/50 for the public shifts (met at M = 32 on
+the start panels, 126 values of h, for gold from 1 mK to 10 K), the
 caller's tol <= 1e-8 for the low-frequency expansion form, which is the
-TE shift of ``asymptotics._SkinEffectMetal`` (M = 64 on most of the
-default fit grid at tol 1e-9).
+TE shift of ``asymptotics._SkinEffectMetal`` (M = 64, 173 values, on
+most of the default fit grid at tol 1e-9).
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ import numpy as np
 
 from .asymptotics import AsymptoticCoefficients, _c_scale, _SkinEffectMetal, pade_delta_f
 from .constants import K_BOLTZMANN, ZETA3, matsubara_frequency
-from .core import (PlateSystem, _gk_integrate, _prefactor, mode_integrals,
+from .core import (PlateSystem, _bisect_panels, _gk_integrate, _prefactor, mode_integrals,
                    zero_mode_integrals)
 from .dispersion import DrudeModel
-from .errors import PrecisionError, RegimeError
+from .errors import ConvergenceError, PrecisionError, RegimeError
 from .quadrature import euler_maclaurin_endpoint, fsum, gk_panels
 
 _EPS = np.finfo(float).eps
@@ -55,53 +58,66 @@ _RUNGS = (32, 64, 128)  # split indices M of sum_minus_integral, tried in turn
 _FIT_RESIDUAL_MAX = 0.05  # rms relative residual above which fit_low_temp raises
 
 
-def _t_mesh():
-    """GK15 panel breaks in t = sqrt(u) on [0, sqrt(M)], M the top rung.
+# t = sqrt(u) breaks of the start panels: a rung starts on those between
+# the rung below (t = 0 for the first) and sqrt(M), so rung 32 on 6
+# panels and rungs 64 and 128 on one each
+_T_START = np.array([0.05, 0.2, 0.6, 1.5, 3.0])
+_GK_X, _GK_WK, _GK_WG = gk_panels(np.array([-1.0, 1.0]))  # GK15 on [-1, 1]
 
-    One panel up to t = 1e-3, 9 geometric panels up to 0.4, then equal
-    steps of at most 0.7 up to sqrt(M) of each rung M in turn, so that
-    every rung's integral ends on a break.
+
+def _t_panels(h, lo, hi, u_int=()):
+    """h on the integers ``u_int`` and per-panel (integral, 0, quadrature
+    error, roundoff) of h du = 2 t h dt over the t panels [lo, hi], in one
+    call of ``h``: the panels' GK15 error in the converged-panel model of
+    ``core._gk_integrate`` and eps times the summed |weight * value|.
     """
-    breaks = [[0.0], np.geomspace(1e-3, 0.4, 10)]
-    lo = 0.4
-    for big_m in _RUNGS:
-        hi = math.sqrt(big_m)
-        breaks.append(np.linspace(lo, hi, math.ceil((hi - lo) / 0.7) + 1)[1:])
-        lo = hi
-    return np.concatenate(breaks)
+    half = 0.5 * (hi - lo)[:, None]
+    t = 0.5 * (hi + lo)[:, None] + half * _GK_X
+    values = np.asarray(h(np.concatenate([u_int, (t * t).ravel()])), dtype=float)
+    f = 2.0 * half * t * values[len(u_int):].reshape(t.shape)
+    noise = _EPS * (np.abs(f) @ _GK_WK)
+    integral, quad_err = _gk_integrate(f, _GK_WK[None, :], _GK_WG[None, :])
+    return values[:len(u_int)], (integral, np.zeros_like(integral), quad_err, noise)
 
 
-def _ladder(h):
+def _ladder(h, tol=0.0):
     """(M, delta, floor) of sum' h - int h split at each rung M of ``_RUNGS``.
 
-    Rung M calls ``h`` once, on the integers up to M + 3 and the GK15
-    nodes of the panels below sqrt(M) that no lower rung evaluated, so a
-    u is never evaluated twice; the bracket and its floor then use every
-    value up to M.
+    Rung M calls ``h`` once on the integers up to M + 3 and the GK15
+    nodes of its start panels, then ``core._bisect_panels`` bisects the
+    worst of all panels below sqrt(M) until the floor is within
+    max(tol |delta|, 2 (noise + remainder)): the quadrature error within
+    the rest of the floor, or the floor within tol. Bisected panels are
+    new nodes, so a u is never evaluated twice.
     """
-    breaks = _t_mesh()
-    t_nodes, wk, wg = gk_panels(breaks)
-    hv, hq = np.empty(0), np.empty(0)
+    hv, t_lo = np.empty(0), 0.0
+    lo = hi = np.empty(0)
+    panels = (np.empty(0),) * 4
     for big_m in _RUNGS:
-        nodes = 15 * int(np.flatnonzero(breaks == math.sqrt(big_m))[0])
-        t_new = t_nodes[hq.size:nodes]
-        u_int = np.arange(hv.size, big_m + 4.0)
-        values = np.asarray(h(np.concatenate([u_int, t_new * t_new])), dtype=float)
-        hv = np.concatenate([hv, values[:u_int.size]])
-        hq = np.concatenate([hq, 2.0 * t_new * values[u_int.size:]])  # h du = 2 t h dt
+        t_hi = math.sqrt(big_m)
+        breaks = np.concatenate(([t_lo], _T_START[(t_lo < _T_START) & (_T_START < t_hi)],
+                                 [t_hi]))
+        values, new = _t_panels(h, breaks[:-1], breaks[1:], np.arange(hv.size, big_m + 4.0))
+        if not np.all(np.isfinite(values)):
+            raise ConvergenceError("sum-minus-integral term is not finite",
+                                   best_estimate=math.nan, error_estimate=math.inf)
+        hv = np.concatenate([hv, values])
+        lo, hi = np.concatenate([lo, breaks[:-1]]), np.concatenate([hi, breaks[1:]])
+        panels = tuple(np.concatenate(pair) for pair in zip(panels, new))
 
         sum_terms = hv[:big_m + 1].copy()
         sum_terms[0] *= 0.5
         sum_terms[big_m] *= 0.5
-        integrand = wk[:nodes] * hq
+        total = fsum(sum_terms)
         # Euler-Maclaurin endpoint corrections at M
         correction, remainder = euler_maclaurin_endpoint(hv[big_m - 3:big_m + 4], big_m)
-        delta = fsum(sum_terms) - fsum(integrand) + correction
-
-        noise = _EPS * (np.abs(sum_terms).sum() + np.abs(integrand).sum())
-        _, quad_err = _gk_integrate(hq[None, :].copy(), wk[:nodes].reshape(-1, 15),
-                                    wg[:nodes].reshape(-1, 15))
-        yield big_m, delta, noise + quad_err[0] + remainder
+        fixed = _EPS * np.abs(sum_terms).sum() + float(remainder)
+        integral, _, floor, _, _, (lo, hi, panels) = _bisect_panels(
+            lambda lo, hi: _t_panels(h, lo, hi)[1], lo, hi,
+            lambda i, _, rest: max(tol * abs(total - i + correction), 2.0 * rest),
+            fixed, panels)
+        t_lo = t_hi
+        yield big_m, total - integral + correction, floor
 
 
 def sum_minus_integral(h: Callable, tol: float = 0.0):
@@ -111,18 +127,22 @@ def sum_minus_integral(h: Callable, tol: float = 0.0):
     elementwise. The bracket is split at the rungs M = 32, 64, 128 in
     turn (``_ladder``) and returned at the first whose floor is at most
     ``tol`` times it, else at the top rung; the default tol = 0 runs to
-    the top unless a floor is exactly 0. The rungs are nested: M = 32 evaluates h on the integers
-    0 .. 35 and the GK15 nodes of 18 panels in t = sqrt(u) (306 values),
-    64 on 92 more and 128 on 139 more (537 in all), and no u twice.
-    Returns (delta, floor). The floor adds three parts: the
-    cancellation roundoff estimate, eps times the summed magnitudes of
-    the terms and of the weighted integrand values; the panels'
-    quadrature error in the converged-panel model of the Matsubara rows
-    (``core._gk_integrate``), which leaves out |Kronrod - Gauss| at the
-    roundoff level already counted; and the bound on the
-    Euler-Maclaurin remainder from ``euler_maclaurin_endpoint``.
+    the top unless a floor is exactly 0. The rungs are nested: M = 32
+    starts on the integers 0 .. 35 and 6 GK15 panels in t = sqrt(u),
+    breaks 0, 0.05, 0.2, 0.6, 1.5, 3 and sqrt(32) (126 values); 64 and
+    128 on 32 and 64 more integers and one panel each (47 and 79 more).
+    Each rung bisects its worst panels below sqrt(M) until the floor is
+    within max(tol |delta|, twice the roundoff and remainder parts), so
+    tol = 0 converges to roundoff. No u is evaluated twice. Returns
+    (delta, floor). The floor adds three parts: the cancellation
+    roundoff estimate, eps times the summed magnitudes of the terms and
+    of the weighted integrand values; the panels' quadrature error in
+    the converged-panel model of the Matsubara rows
+    (``core._gk_integrate``); and the bound on the Euler-Maclaurin
+    remainder from ``euler_maclaurin_endpoint``. ConvergenceError (best
+    estimate NaN) is raised when a term or panel is not finite.
     """
-    for _, delta, floor in _ladder(h):
+    for _, delta, floor in _ladder(h, tol):
         if floor <= tol * abs(delta):
             break
     return delta, floor
@@ -169,7 +189,7 @@ def _thermal_shift(system: PlateSystem, kind: str, polarization: str,
     prefactor is ``core._prefactor``. The bracket is that of the first
     rung of ``sum_minus_integral`` whose error floor is at most ``tol``
     times it (default: 50 floors); PrecisionError is raised when the
-    top rung misses it too.
+    top rung misses it too, ConvergenceError when h is not finite.
     """
     model, gap, temp = system.model, system.gap, system.temperature
     zeta1 = matsubara_frequency(1, temp)
@@ -333,8 +353,8 @@ def r_series(coeffs: AsymptoticCoefficients, numeric: Callable,
             raise ValueError(f"R is not finite at T = {ti} K")
     window = t <= 10.0 * t[0]
     tw, rw = t[window], r_vals[window]
-    if tw.size < 3:
-        raise ValueError("lowest decade of the grid holds fewer than 3 points")
+    if np.unique(tw).size < 3:
+        raise ValueError("lowest decade of the grid holds fewer than 3 distinct temperatures")
     design = np.stack([np.ones_like(tw), tw], axis=1)
     coeff, *_ = np.linalg.lstsq(design, rw, rcond=None)
     resid = rw - design @ coeff
@@ -359,8 +379,8 @@ def entropy(system: PlateSystem) -> float:
     out of the derivative), with a Richardson-extrapolated central
     difference at step h = max(T/10, 1e-4 K). It takes no tolerance:
     the step size sets its error, and each of the four shifts comes
-    from the first rung of ``sum_minus_integral`` that holds the
-    50-floor rule of ``_thermal_shift``.
+    from the first rung of ``sum_minus_integral``, its panels bisected
+    to tol 1/50, that holds the 50-floor rule of ``_thermal_shift``.
     """
     t0 = system.temperature
     h = max(t0 / 10.0, 1e-4)

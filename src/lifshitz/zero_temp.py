@@ -78,9 +78,9 @@ def free_energy_T0(gap: float, model: ReflectionModel, tol: float = 1e-8) -> Zer
         raise ValueError(f"tol must be in (0, 1e-2], got {tol}")
     breaks = np.concatenate(([0.0], _start_breaks(tol)))
     # _eval_rects is looked up at each call, so a patch of it is seen
-    tm, te, error, met, panels = _bisect_panels(
+    tm, te, error, met, panels, _ = _bisect_panels(
         lambda lo, hi: _eval_rects(model, gap, lo, hi), breaks[:-1], breaks[1:],
-        lambda tm, te: tol * abs(tm + te))
+        lambda tm, te, _: tol * abs(tm + te))
     pref = HBAR * C_LIGHT / (32.0 * math.pi ** 2 * gap ** 3)
     if not met:
         raise ConvergenceError(

@@ -85,15 +85,16 @@ def test_traced_room_grid_calls_report_every_metric():
 
 def test_traced_shift_counts_every_h_value(monkeypatch):
     """The tracer counts h at ``sum_minus_integral``'s first argument, so it
-    sees each rung's call of the ladder: once per distinct u evaluated."""
+    sees each call of the ladder's rungs and bisections: once per distinct
+    u evaluated."""
     seen = []
     real_ladder = thermo._ladder
 
-    def recording(h):
+    def recording(h, tol):
         def h_seen(u):
             seen.append(np.array(u))
             return h(u)
-        return real_ladder(h_seen)
+        return real_ladder(h_seen, tol)
 
     monkeypatch.setattr(thermo, "_ladder", recording)
     with tracer.Tracer() as trace:

@@ -300,6 +300,13 @@ class TestFailureModes:
         assert (rc, out) == (1, "")
         assert err == "error: temperature must be finite and > 0 K, got 0.0\n"
 
+    def test_r_series_on_one_repeated_temperature(self, capsys):
+        rc, out, err = run_cli(capsys, "r-series", "--gap", "1e-6",
+                               "--temp", "1e-3:1e-3:4:lin")
+        assert (rc, out) == (1, "")
+        assert err == ("error: lowest decade of the grid holds fewer than 3 "
+                       "distinct temperatures\n")
+
     def test_negative_gap(self, capsys):
         rc, _, err = run_cli(capsys, "pressure", "--gap=-1e-6", "--temp", "300")
         assert rc == 1

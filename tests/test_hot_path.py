@@ -231,11 +231,12 @@ def test_non_finite_tail_row_stops_the_sum(monkeypatch):
 
 
 def test_shifts_are_unchanged():
-    # pinned at the rung M = 32 of sum_minus_integral's ladder on its
-    # 27-panel GK15 t mesh, with the 7-point endpoint correction through
-    # h^(5); M = 128 on the 26-panel mesh gave 9.954686439310923e-14 and
-    # 1.1371653564162462e-07, within the floors of M = 32 (1.1e-10 and
-    # 2.3e-10 of the shifts)
+    # pinned at the rung M = 32 of sum_minus_integral's ladder on its 6
+    # GK15 start panels in t, which tol 1/50 does not bisect (the fixed
+    # 18-panel t mesh gave the same values), with the 7-point endpoint
+    # correction through h^(5); M = 128 on a 26-panel mesh gave
+    # 9.954686439310923e-14 and 1.1371653564162462e-07, within the floors
+    # of M = 32 (1.1e-10 and 2.3e-10 of the shifts)
     system = PlateSystem(1e-6, 1.0, GOLD)
     assert thermo.free_energy_shift(system) == 9.954686439422339e-14
     assert thermo.pressure_shift(system) == 1.1371653564440887e-07

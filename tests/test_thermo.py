@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -14,8 +15,8 @@ from lifshitz.constants import C_LIGHT, HBAR, K_BOLTZMANN, ZETA3, matsubara_freq
 from lifshitz.core import (IdealMetal, PlateSystem, TmOnlyIdealMetal, _prefactor,
                            free_energy, pressure)
 from lifshitz.dispersion import GOLD, PlasmaModel
-from lifshitz.errors import PrecisionError, RegimeError
-from lifshitz.quadrature import euler_maclaurin_endpoint, gk_panels, gl_panels, log1mexp
+from lifshitz.errors import ConvergenceError, PrecisionError, RegimeError
+from lifshitz.quadrature import euler_maclaurin_endpoint, gl_panels, log1mexp
 from lifshitz.thermo import (classical_pressure, collect_lowtemp_samples,
                              default_fit_grid, delta_f_te_numeric, entropy,
                              fit_low_temp, free_energy_shift, pressure_shift,
@@ -23,6 +24,16 @@ from lifshitz.thermo import (classical_pressure, collect_lowtemp_samples,
 from lifshitz.zero_temp import free_energy_T0
 
 GOLD_COEFFS = coefficients(GOLD, 1e-6)
+
+
+@dataclass(frozen=True)
+class _NanAbove(PlasmaModel):
+    """PlasmaModel whose eps - 1 is NaN above ``zeta_cut``."""
+
+    zeta_cut: float = math.inf
+
+    def eps_minus_one(self, zeta):
+        return np.where(zeta > self.zeta_cut, np.nan, super().eps_minus_one(zeta))
 
 
 def loglog_slope(f, temps):
@@ -56,10 +67,11 @@ class TestSumMinusIntegral:
         assert max(results) - min(results) < 1e-9
 
     def test_floor_counts_the_quadrature_error(self):
-        # e^{-u} cos(5u) oscillates about twice per t panel near t = 3:
-        # the quadrature error then stands far above the roundoff noise
+        # e^{-u} cos(5u) oscillates about once per start panel near t = 2:
+        # at a loose tol the bisection stops while the quadrature error
+        # still stands far above the roundoff noise
         exact = (1.0 / (1.0 - cmath.exp(-1.0 + 5.0j))).real - 0.5 - 1.0 / 26.0
-        delta, floor = sum_minus_integral(lambda u: np.exp(-u) * np.cos(5.0 * u))
+        delta, floor = sum_minus_integral(lambda u: np.exp(-u) * np.cos(5.0 * u), 1.0 / 50.0)
         assert 1e-13 < abs(delta - exact) <= floor
 
     def test_floor_counts_only_real_quadrature_error(self):
@@ -77,6 +89,7 @@ class TestSumMinusIntegral:
         assert abs(delta - dense) <= 5.0 * floor
 
     def test_h_is_evaluated_once_per_rung(self):
+        # each u at most once in a call, over all rungs and bisections
         calls = []
 
         def h(u):
@@ -84,12 +97,44 @@ class TestSumMinusIntegral:
             return np.exp(-u)
 
         sum_minus_integral(h)  # tol = 0: every rung
-        assert [u.size for u in calls] == [306, 92, 139]
         u = np.concatenate(calls)
-        assert np.unique(u).size == u.size
+        assert np.unique(u).size == u.size and u.max() == thermo._RUNGS[-1] + 3
         calls.clear()
         sum_minus_integral(h, 1.0 / 50.0)  # e^{-u} is resolved at M = 32
-        assert [u.size for u in calls] == [306]
+        u = np.concatenate(calls)
+        assert np.unique(u).size == u.size and u.max() == 35
+
+    @pytest.mark.parametrize("bad, what", [(lambda u: u > 3.0, "term"),
+                                           (lambda u: (0.1 < u) & (u < 0.9), "panel")])
+    def test_non_finite_term_or_panel_raises(self, bad, what):
+        # NaN on the integers from 4 on, or only inside the t panels
+        with pytest.raises(ConvergenceError, match=f"{what}.* not finite") as info:
+            sum_minus_integral(lambda u: np.where(bad(u), np.nan, np.exp(-u)), 1.0 / 50.0)
+        assert math.isnan(info.value.best_estimate)
+        assert info.value.error_estimate == math.inf
+
+    def test_gold_shift_evaluates_at_most_130_u(self):
+        # 126 at M = 32 on the start panels (36 integers, 6 panels of 15
+        # nodes) without a bisection; the fixed t mesh took 306
+        seen = []
+
+        def spy(h, tol):
+            def recording(u):
+                seen.append(u.copy())
+                return h(u)
+            return sum_minus_integral(recording, tol)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thermo, "sum_minus_integral", spy)
+            free_energy_shift(PlateSystem(1e-6, 0.01, GOLD))
+        assert np.unique(np.concatenate(seen)).size <= 130
+
+    def test_non_finite_shift_raises(self):
+        # a plasma response that turns NaN above zeta_5: the shift raises
+        # instead of returning NaN (NaN > tol * NaN is False)
+        system = PlateSystem(1e-6, 0.01, _NanAbove(GOLD.omega_p, matsubara_frequency(5, 0.01)))
+        with pytest.raises(ConvergenceError, match="not finite"):
+            free_energy_shift(system)
 
 
 @settings(max_examples=60, deadline=None)
@@ -114,6 +159,22 @@ def test_floor_bounds_the_error_against_closed_forms(s, half_power):
         assert abs(delta - exact) <= floor, big_m
 
 
+@settings(max_examples=60, deadline=None)
+@given(s=st.floats(0.2, 2.0), tol=st.floats(1e-12, 1e-2))
+def test_bisection_holds_tol_at_every_rung(s, tol):
+    """h = e^{-su} at a tol of its own: every rung's panels, bisected to
+    that tol, still bound the error by the floor, and the call returns
+    the first rung whose floor is within tol of its bracket."""
+    with mpmath.workdps(40):
+        exact = float(1 / -mpmath.expm1(-mpmath.mpf(s)) - mpmath.mpf(0.5) - 1 / mpmath.mpf(s))
+    h = lambda u: np.exp(-s * u)
+    rungs = list(thermo._ladder(h, tol))
+    for big_m, delta, floor in rungs:
+        assert abs(delta - exact) <= floor, big_m
+    first = next((r for r in rungs if r[2] <= tol * abs(r[1])), rungs[-1])
+    assert sum_minus_integral(h, tol) == (first[1], first[2])
+
+
 @settings(max_examples=30, deadline=None)
 @given(s=st.floats(1e-3, 5e-3))
 @example(s=1e-3)
@@ -130,10 +191,9 @@ def test_floor_bounds_the_error_on_a_gaussian(s):
         assert abs(delta - exact) <= floor, big_m
 
 
-def _dense_sum_minus_integral(h):
-    """Dense reference engine: 51 Gauss-Legendre panels of 20 nodes in t,
-    split at the top rung."""
-    m_star = thermo._RUNGS[-1]
+def _dense_sum_minus_integral(h, m_star=thermo._RUNGS[-1]):
+    """Dense reference engine: Gauss-Legendre panels of 20 nodes in t, at
+    most 0.35 wide, split at ``m_star`` (default: the top rung)."""
     top = math.sqrt(m_star)
     breaks = np.concatenate([[0.0], np.geomspace(1e-3, 0.4, 19),
                              np.arange(0.75, top, 0.35), [top]])
@@ -188,14 +248,23 @@ def _dense_te_h(system):
     return h
 
 
+def _returned_rung(h, tol):
+    """The rung M at which sum_minus_integral(h, tol) returns."""
+    for big_m, delta, floor in thermo._ladder(h, tol):
+        if floor <= tol * abs(delta):
+            break
+    return big_m
+
+
 def _brackets(call, dense):
     """(delta, floor) that ``call`` gets from sum_minus_integral at its own
     tol, on the library's ladder or (``dense``) on the dense reference
-    engine."""
+    engine split at the rung the library returns."""
     seen = []
 
     def spy(h, tol):
-        seen.append(_dense_sum_minus_integral(h) if dense else sum_minus_integral(h, tol))
+        seen.append(_dense_sum_minus_integral(h, _returned_rung(h, tol)) if dense
+                    else sum_minus_integral(h, tol))
         return seen[-1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -220,11 +289,26 @@ class TestDenseMeshOracle:
     @pytest.mark.parametrize("gap", GAPS)
     @pytest.mark.parametrize("t", [1e-3, 1e-2, 0.2])
     def test_g_rows(self, gap, t):
-        # every u > 0 at which sum_minus_integral evaluates h; measured
-        # worst 5e-15 of the set's max |g|
-        m = np.concatenate([np.arange(1.0, thermo._RUNGS[-1] + 4.0),
-                            gk_panels(thermo._t_mesh())[0] ** 2])
+        # every u > 0 at which sum_minus_integral evaluates the expansion's
+        # h at tol = 0, all rungs and bisections; measured worst 5e-15 of
+        # the set's max |g|
         system = PlateSystem(gap, t, GOLD)
+        seen = []
+
+        def spy(h, tol):
+            def recording(u):
+                seen.append(u.copy())
+                return h(u)
+            return sum_minus_integral(recording)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thermo, "sum_minus_integral", spy)
+            try:
+                delta_f_te_numeric(system)
+            except PrecisionError:
+                pass
+        m = np.concatenate(seen)
+        m = m[m > 0.0]
         reference = _dense_g_many(system, m)
         assert np.max(np.abs(_g_many(system, m) - reference)) <= (
             1e-12 * np.max(np.abs(reference)))
@@ -240,6 +324,19 @@ class TestDenseMeshOracle:
                 delta, floor = _brackets(call, dense=False)
                 dense, _ = _brackets(call, dense=True)
                 assert abs(delta - dense) <= 5.0 * floor, (gap, t)
+
+    def test_plasma_against_mpmath(self):
+        """Plasma free energy at 8 um and 1 mK, where the dense engine split
+        at M = 128 is itself 4.2 floors off: the bracket at M = 32 on the
+        library's rows, each the GK15 rule on its y mesh (dense below
+        y0 = e^0.3 - 1, lean above) with nodes y0 + offset, the t integral
+        on 30 Gauss-Legendre panels of 20 nodes, and the 7-point endpoint
+        correction, all in 40-digit mpmath. The bracket reads 1.9 floors
+        off it, the t mesh it replaced 0.6."""
+        reference = -5.90068188411321897074450686923e-11
+        system = PlateSystem(8e-6, 1e-3, PlasmaModel(GOLD.omega_p))
+        delta, floor = _brackets(lambda: free_energy_shift(system), dense=False)
+        assert abs(delta - reference) <= 5.0 * floor
 
     def test_te_expansion(self):
         # the dense engine on dense g rows, which share no code with
@@ -554,6 +651,11 @@ class TestRSeries:
         with pytest.raises(ValueError):
             r_series(GOLD_COEFFS, lambda t: pade_delta_f(GOLD_COEFFS, t),
                      [-0.01, 0.01, 0.02, 0.04])
+
+    @pytest.mark.parametrize("grid", [[1e-3] * 4, [1e-3, 1e-3, 2e-3, 2e-3, 0.05]])
+    def test_lowest_decade_needs_three_distinct_temperatures(self, grid):
+        with pytest.raises(ValueError, match="fewer than 3 distinct temperatures"):
+            r_series(GOLD_COEFFS, lambda t: pade_delta_f(GOLD_COEFFS, t), grid)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_numeric_rejected(self, bad):
