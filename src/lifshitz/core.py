@@ -57,10 +57,10 @@ directly but still running at m = 192 tries the top rung. If the error
 estimate of the tail misses tol at every rung it tries (in practice
 only for tol below about 1e-12), the direct sum goes on instead.
 
-The tail's panels and bisection loop (``_tail_panels``,
-``_bisect_panels``) also give the T = 0 free energy in ``zero_temp``:
-the same integral over the continuous index, from u = 0 with
-zeta_1 = c / 2a. The loop also bisects the thermal shifts' t panels.
+The tail's panels and start breaks (``_tail_panels``, ``_start_breaks``)
+also give the T = 0 free energy in ``zero_temp``: the same integral over
+the continuous index, from u = 0 with zeta_1 = c / 2a. Both bisect on
+``quadrature._bisect_panels``, as do the thermal shifts' t panels.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ import numpy as np
 from .constants import C_LIGHT, K_BOLTZMANN, matsubara_frequency
 from .dispersion import DispersionModel
 from .errors import ConvergenceError
-from .quadrature import (adaptive_gk, euler_maclaurin_endpoint, fsum, gk_panels,
-                         inv_expm1, log1mexp)
+from .quadrature import (_bisect_panels, _panel_gk, adaptive_gk, euler_maclaurin_endpoint,
+                         fsum, gk_panels, inv_expm1, log1mexp)
 
 
 @dataclass(frozen=True)
@@ -373,21 +373,19 @@ def zero_mode_integrals(model: ReflectionModel, gap: float, kind: str = "energy"
 
 
 def _refine_mode(model, gap, zeta, kind, rel_tol):
-    """Scalar fallback: adaptively re-integrate one Matsubara term.
+    """Scalar fallback: re-integrate one Matsubara term to rel_tol * |S_TM + S_TE|.
 
     Returns (s_tm, s_te); a channel with R identically 0 integrates to 0.
     """
     kernel = _KINDS[kind][0]
     y0 = 2.0 * gap * zeta / C_LIGHT
-    breaks = y0 + _Y_OFFSETS
 
-    def integrate(pol):
-        def f(y):
-            ln_r = _log_reflection(model, zeta, np.maximum(y / y0, 1.0))[pol]
-            return np.zeros_like(y) if ln_r is None else kernel(y, ln_r)
-        return adaptive_gk(f, breaks, rel_tol)[0]
+    def f(y):
+        return tuple(None if ln_r is None else kernel(y, ln_r)
+                     for ln_r in _log_reflection(model, zeta, np.maximum(y / y0, 1.0)))
 
-    return integrate(0), integrate(1)
+    s_tm, s_te, _, _ = adaptive_gk(f, y0 + _Y_OFFSETS, rel_tol)
+    return s_tm, s_te
 
 
 def _first(mask) -> int:
@@ -406,9 +404,9 @@ _EM_RUNGS = (32, 64, 189)
 _EM_SWITCH = _EM_RUNGS[-1] + 3
 _TAIL_BREAKS = np.array([1e-4, 1e-3, 0.01, 0.05, 0.15, 0.3, 0.5, 0.8,
                          1.2, 1.7, 2.3, 3.0, 3.5, math.log(61.0)])
-_TAIL_PANEL_CAP = 32  # panels _bisect_panels may reach before it gives up
-# At tol >= _COARSE_TOL the first round of _bisect_panels runs on the 8
-# breaks {1e-3, 0.05, 0.3, 0.8, 1.7, 2.3, 3.5, ln 61} of _TAIL_BREAKS
+# At tol >= _COARSE_TOL the first round of quadrature._bisect_panels
+# (at most quadrature._TAIL_PANEL_CAP = 32 panels) runs on the 8 breaks
+# {1e-3, 0.05, 0.3, 0.8, 1.7, 2.3, 3.5, ln 61} of _TAIL_BREAKS
 # (v = 0.3, the lean/dense switch, among them). For the T = 0 integral
 # of Drude, plasma, ideal and tabulated metals at 0.2-8 um they estimate
 # at most 1.5e-9 of it and move it by at most 1.4e-13 relative, so tol
@@ -420,9 +418,10 @@ _COARSE = [1, 3, 5, 7, 9, 10, 12, 13]
 _COARSE_TOL = 1e-8
 
 
-def _start_breaks(tol: float):
-    """Breaks in v of the first ``_bisect_panels`` round at ``tol``."""
-    return _TAIL_BREAKS[_COARSE] if tol >= _COARSE_TOL else _TAIL_BREAKS
+def _start_breaks(tol: float, v_lo: float):
+    """v_lo, then the breaks in v above it of the first round at ``tol``."""
+    start = _TAIL_BREAKS[_COARSE] if tol >= _COARSE_TOL else _TAIL_BREAKS
+    return np.concatenate(([v_lo], start[start > v_lo]))
 
 
 def _tail_panels(model, gap, zeta1, kind, lo, hi):
@@ -445,56 +444,10 @@ def _tail_panels(model, gap, zeta1, kind, lo, hi):
     jac = 2.0 * t * np.exp(v) / kappa  # du/dt
     s_tm, s_te, e_tm, e_te = mode_integrals(
         model, gap, zeta1 * (np.expm1(v) / kappa).ravel(), kind)
-    f_tm = s_tm.reshape(v.shape) * jac
-    f_te = s_te.reshape(v.shape) * jac
-    tm, te = (f_tm * wk).sum(axis=-1), (f_te * wk).sum(axis=-1)
-    gk_err = np.abs(tm - (f_tm * wg).sum(axis=-1)) + np.abs(te - (f_te * wg).sum(axis=-1))
+    tm, gk_tm = _panel_gk(s_tm.reshape(v.shape) * jac, wk, wg)
+    te, gk_te = _panel_gk(s_te.reshape(v.shape) * jac, wk, wg)
     row_err = (np.abs(wk * jac) * (e_tm + e_te).reshape(v.shape)).sum(axis=-1)
-    return tm, te, gk_err, row_err
-
-
-def _bisect_panels(evaluate, lo, hi, target, fixed_extra=0.0, start=None):
-    """Integrate over the panels [lo, hi], bisecting until ``target`` is met.
-
-    ``evaluate(lo, hi)`` returns per-panel (tm, te, gk_err, row_err) as
-    ``_tail_panels`` does (``thermo._t_panels`` for the thermal shifts);
-    ``start``, when given, is that tuple for [lo, hi] already evaluated.
-    ``target(tm, te, fixed)`` is the error allowed for the panel sums tm,
-    te when the fixed part is ``fixed``. The error estimate is that
-    fixed part, the rows' errors plus ``fixed_extra``, and the panels'
-    quadrature errors ``gk_err``. Each round bisects the 4 panels with
-    the largest ``gk_err``. It gives up when the fixed part alone misses
-    the target, or at _TAIL_PANEL_CAP panels. Returns (tm, te, error,
-    met, panels evaluated, (lo, hi, per-panel tuple)); raises
-    ConvergenceError if a panel is not finite.
-    """
-    if start is None:
-        start, evaluated = evaluate(lo, hi), lo.size
-    else:
-        evaluated = 0
-    tm, te, gk_err, row_err = start
-    while True:
-        if not np.all(np.isfinite(tm + te)):
-            raise ConvergenceError("panel integral is not finite",
-                                   best_estimate=math.nan, error_estimate=math.inf)
-        tm_sum, te_sum = fsum(tm), fsum(te)
-        fixed = float(row_err.sum()) + fixed_extra
-        allowed = target(tm_sum, te_sum, fixed)
-        error = fixed + float(gk_err.sum())
-        if error <= allowed or fixed > allowed or lo.size >= _TAIL_PANEL_CAP:
-            return (tm_sum, te_sum, error, error <= allowed, evaluated,
-                    (lo, hi, (tm, te, gk_err, row_err)))
-        k = min(4, lo.size)  # bisect the k worst panels
-        worst = np.argpartition(gk_err, -k)[-k:]
-        mid = 0.5 * (lo[worst] + hi[worst])
-        new_lo, new_hi = np.concatenate([lo[worst], mid]), np.concatenate([mid, hi[worst]])
-        new = evaluate(new_lo, new_hi)
-        evaluated += new_lo.size
-        keep = np.ones(lo.size, dtype=bool)
-        keep[worst] = False
-        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
-        tm, te, gk_err, row_err = (np.concatenate([old[keep], part])
-                                   for old, part in zip((tm, te, gk_err, row_err), new))
+    return tm, te, gk_tm + gk_te, row_err
 
 
 def _em_tail(model, gap, zeta1, kind, tol, big_m, h_tm, h_te, head, kept):
@@ -513,9 +466,7 @@ def _em_tail(model, gap, zeta1, kind, tol, big_m, h_tm, h_te, head, kept):
     remainder = float(rest_tm + rest_te)
     if not remainder <= tol * abs(head) / 10.0:
         return None
-    v_m = math.log1p(2.0 * gap * zeta1 * big_m / C_LIGHT)
-    start = _start_breaks(tol)
-    breaks = np.concatenate(([v_m], start[start > v_m]))
+    breaks = _start_breaks(tol, math.log1p(2.0 * gap * zeta1 * big_m / C_LIGHT))
     if breaks.size < 2:
         return None
     ends_tm, ends_te = c_tm - 0.5 * h_tm[3], c_te - 0.5 * h_te[3]

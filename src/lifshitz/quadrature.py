@@ -23,6 +23,11 @@ evaluation to bound the working set.
 ``euler_maclaurin_endpoint`` is the one endpoint correction shared by
 the sum-minus-integral engine of ``thermo`` and the Euler-Maclaurin
 tail of the Matsubara sum in ``core``.
+
+``_bisect_panels`` is the one panel-bisection loop. The T = 0 integral,
+the Euler-Maclaurin tail and the thermal shifts run on it with at most
+``_TAIL_PANEL_CAP`` panels, and ``adaptive_gk``, its two-channel front
+end for ``core._refine_mode``, with at most ``_NODE_BUDGET // 15``.
 """
 
 from __future__ import annotations
@@ -187,55 +192,87 @@ def fsum(values) -> float:
     return math.fsum(np.asarray(values, dtype=float).ravel())
 
 
-_NODE_BUDGET = 10_000  # integrand values adaptive_gk may spend
+def _panel_gk(f, wk, wg):
+    """Per-panel Kronrod value and |Kronrod - Gauss| of (panels, 15) values."""
+    kronrod = (f * wk).sum(axis=-1)
+    return kronrod, np.abs(kronrod - (f * wg).sum(axis=-1))
+
+
+_TAIL_PANEL_CAP = 32  # panels of the T = 0 integral, the tail and the shifts
+_NODE_BUDGET = 10_000  # nodes of the panels at which adaptive_gk gives up
+
+
+def _bisect_panels(evaluate, lo, hi, target, fixed_extra=0.0, start=None,
+                   cap=_TAIL_PANEL_CAP):
+    """Integrate over the panels [lo, hi], bisecting until ``target`` is met.
+
+    ``evaluate(lo, hi)`` returns per-panel (tm, te, gk_err, row_err) as
+    ``core._tail_panels`` does (``thermo._t_panels``, ``adaptive_gk``);
+    ``start``, when given, is that tuple for [lo, hi] already evaluated.
+    ``target(tm, te, fixed)`` is the error allowed for the panel sums tm,
+    te when the fixed part is ``fixed``. The error estimate is that
+    fixed part, the rows' errors plus ``fixed_extra``, and the panels'
+    quadrature errors ``gk_err``. Each round bisects the 4 panels with
+    the largest ``gk_err``. It gives up when the fixed part alone misses
+    the target, or at ``cap`` panels. Returns (tm, te, error, met,
+    panels evaluated, (lo, hi, per-panel tuple)); raises
+    ConvergenceError if a panel is not finite.
+    """
+    if start is None:
+        start, evaluated = evaluate(lo, hi), lo.size
+    else:
+        evaluated = 0
+    tm, te, gk_err, row_err = start
+    while True:
+        if not np.all(np.isfinite(tm + te)):
+            raise ConvergenceError("panel integral is not finite",
+                                   best_estimate=math.nan, error_estimate=math.inf)
+        tm_sum, te_sum = fsum(tm), fsum(te)
+        fixed = float(row_err.sum()) + fixed_extra
+        allowed = target(tm_sum, te_sum, fixed)
+        error = fixed + float(gk_err.sum())
+        if error <= allowed or fixed > allowed or lo.size >= cap:
+            return (tm_sum, te_sum, error, error <= allowed, evaluated,
+                    (lo, hi, (tm, te, gk_err, row_err)))
+        k = min(4, lo.size)  # bisect the k worst panels
+        worst = np.argpartition(gk_err, -k)[-k:]
+        mid = 0.5 * (lo[worst] + hi[worst])
+        new_lo, new_hi = np.concatenate([lo[worst], mid]), np.concatenate([mid, hi[worst]])
+        new = evaluate(new_lo, new_hi)
+        evaluated += new_lo.size
+        keep = np.ones(lo.size, dtype=bool)
+        keep[worst] = False
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        tm, te, gk_err, row_err = (np.concatenate([old[keep], part])
+                                   for old, part in zip((tm, te, gk_err, row_err), new))
 
 
 def adaptive_gk(f, breaks, rel_tol: float):
-    """Globally adaptive Gauss-Kronrod integration over initial panels.
+    """Globally adaptive GK15 integration of two channels over initial panels.
 
-    ``f`` must accept an ndarray of abscissae and return integrand
-    values of the same shape. Bisects the worst panels until the summed
-    error estimate meets rel_tol*|I| or ``_NODE_BUDGET`` nodes are
-    spent, in which case a ConvergenceError carrying the best estimate
-    is raised.
+    ``f`` maps an ndarray of abscissae to integrand values (tm, te) of
+    its shape, None for a channel that is 0. ``_bisect_panels`` bisects
+    until the summed |Kronrod - Gauss| meets rel_tol * |tm + te|, or
+    raises ConvergenceError: with the best estimate once the panels hold
+    ``_NODE_BUDGET`` nodes, without one when a panel is not finite.
 
-    Returns (value, error_estimate, evaluations).
+    Returns (tm, te, error_estimate, evaluations).
     """
     breaks = np.asarray(breaks, dtype=float)
-    lo = breaks[:-1].copy()
-    hi = breaks[1:].copy()
 
-    def eval_panels(plo, phi):
-        nodes, wk, wg = gk_panels(np.stack([plo, phi], axis=-1))
-        vals = f(nodes.ravel()).reshape(nodes.shape)
-        v = np.sum(vals * wk, axis=-1)
-        e = np.abs(v - np.sum(vals * wg, axis=-1))
-        return v, e
+    def evaluate(lo, hi):
+        nodes, wk, wg = gk_panels(np.stack([lo, hi], axis=-1))
+        zero = np.zeros(lo.size)
+        (tm, e_tm), (te, e_te) = ((zero, zero) if vals is None else _panel_gk(vals, wk, wg)
+                                  for vals in f(nodes))
+        return tm, te, e_tm + e_te, zero
 
-    vals, errs = eval_panels(lo, hi)
-    neval = lo.size * 15
-
-    while True:
-        total = fsum(vals)
-        total_err = float(np.sum(errs))
-        if total_err <= rel_tol * abs(total):
-            return total, total_err, neval
-        if neval >= _NODE_BUDGET:
-            raise ConvergenceError(
-                f"adaptive quadrature exhausted {_NODE_BUDGET} nodes "
-                f"(error {total_err:.3e} on value {total:.6e})",
-                best_estimate=total, error_estimate=total_err)
-        k = min(8, errs.size)
-        worst = np.argpartition(errs, -k)[-k:]
-        plo, phi = lo[worst], hi[worst]
-        mid = 0.5 * (plo + phi)
-        new_lo = np.concatenate([plo, mid])
-        new_hi = np.concatenate([mid, phi])
-        new_vals, new_errs = eval_panels(new_lo, new_hi)
-        neval += new_lo.size * 15
-        keep = np.ones(lo.size, dtype=bool)
-        keep[worst] = False
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
+    tm, te, error, met, panels, _ = _bisect_panels(
+        evaluate, breaks[:-1], breaks[1:], lambda tm, te, _: rel_tol * abs(tm + te),
+        cap=_NODE_BUDGET // 15)
+    if not met:
+        raise ConvergenceError(
+            f"adaptive quadrature reached {_NODE_BUDGET} nodes "
+            f"(error {error:.3e} on value {tm + te:.6e})",
+            best_estimate=tm + te, error_estimate=error)
+    return tm, te, error, 15 * panels

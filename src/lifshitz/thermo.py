@@ -24,9 +24,9 @@ quadrature error and a bound on the Euler-Maclaurin remainder. M is
 the first rung of the nested ladder 32, 64, 128 whose floor is within
 tol of the difference. Each rung evaluates h on the integers and start
 panels that the rungs below it did not reach, then bisects (with
-``core._bisect_panels``, the loop of the T = 0 integral and the tail)
-until its quadrature error is within tol |delta| or within the rest of
-its floor. The roundoff grows with M and the remainder falls, so a
+``quadrature._bisect_panels``, the loop of the T = 0 integral and the
+tail) until its quadrature error is within tol |delta| or within the
+rest of its floor. The roundoff grows with M and the remainder falls, so a
 slowly decaying h (small kappa) is resolved best at M = 32 and a fast
 one may need 64 or 128. Every thermal shift is one bracket,
 ``_thermal_shift``, which raises PrecisionError when no rung's floor is
@@ -47,11 +47,10 @@ import numpy as np
 
 from .asymptotics import AsymptoticCoefficients, _c_scale, _SkinEffectMetal, pade_delta_f
 from .constants import K_BOLTZMANN, ZETA3, matsubara_frequency
-from .core import (PlateSystem, _bisect_panels, _gk_integrate, _prefactor, mode_integrals,
-                   zero_mode_integrals)
+from .core import PlateSystem, _gk_integrate, _prefactor, mode_integrals, zero_mode_integrals
 from .dispersion import DrudeModel
 from .errors import ConvergenceError, PrecisionError, RegimeError
-from .quadrature import euler_maclaurin_endpoint, fsum, gk_panels
+from .quadrature import _bisect_panels, euler_maclaurin_endpoint, fsum, gk_panels
 
 _EPS = np.finfo(float).eps
 _RUNGS = (32, 64, 128)  # split indices M of sum_minus_integral, tried in turn
@@ -84,8 +83,8 @@ def _ladder(h, tol=0.0):
     """(M, delta, floor) of sum' h - int h split at each rung M of ``_RUNGS``.
 
     Rung M calls ``h`` once on the integers up to M + 3 and the GK15
-    nodes of its start panels, then ``core._bisect_panels`` bisects the
-    worst of all panels below sqrt(M) until the floor is within
+    nodes of its start panels, then ``quadrature._bisect_panels`` bisects
+    the worst of all panels below sqrt(M) until the floor is within
     max(tol |delta|, 2 (noise + remainder)): the quadrature error within
     the rest of the floor, or the floor within tol. Bisected panels are
     new nodes, so a u is never evaluated twice.
@@ -140,8 +139,11 @@ def sum_minus_integral(h: Callable, tol: float = 0.0):
     the converged-panel model of the Matsubara rows
     (``core._gk_integrate``); and the bound on the Euler-Maclaurin
     remainder from ``euler_maclaurin_endpoint``. ConvergenceError (best
-    estimate NaN) is raised when a term or panel is not finite.
+    estimate NaN) is raised when a term or panel is not finite, and
+    ValueError when ``tol`` is negative or NaN.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     for _, delta, floor in _ladder(h, tol):
         if floor <= tol * abs(delta):
             break

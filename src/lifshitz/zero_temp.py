@@ -15,11 +15,12 @@ which is the integral the Euler-Maclaurin tail of the thermal sum
 takes from its rung M on. The same evaluator (``core._tail_panels``:
 panels with breaks in v = ln(1 + u), each integrated by GK15 in
 t = sqrt(v), each node one ``mode_integrals`` row) and the same
-bisection loop take it from v = 0, on the tail's start panels
-(``core._start_breaks``): 8 panels (120 rows) at tol >= 1e-8, 14
-(210 rows) below. The t rule matters at the lower end: a Drude-like TE
-channel carries a u^{3/2} term there, which GK15 in v resolves only
-after bisecting the first panels, and which is the polynomial t^3 in t.
+bisection loop (``quadrature._bisect_panels``) take it from v = 0, on
+the tail's start panels (``core._start_breaks``): 8 panels (120 rows)
+at tol >= 1e-8, 14 (210 rows) below. The t rule matters at the lower
+end: a Drude-like TE channel carries a u^{3/2} term there, which GK15
+in v resolves only after bisecting the first panels, and which is the
+polynomial t^3 in t.
 At gaps of 0.2-8 um, Drude, tabulated, plasma and ideal metals all meet
 tol = 1e-8 on the 8 panels (estimates up to 1.5e-9 of F(0), values
 within 1.4e-13 of the 14-panel ones) and tol = 1e-11 on the 14.
@@ -32,12 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import C_LIGHT, HBAR
-from .core import (_TAIL_PANEL_CAP, ReflectionModel, _bisect_panels, _start_breaks,
-                   _tail_panels)
+from .core import ReflectionModel, _start_breaks, _tail_panels
 from .errors import ConvergenceError
+from .quadrature import _TAIL_PANEL_CAP, _bisect_panels
 
 
 @dataclass(frozen=True)
@@ -69,14 +68,14 @@ def free_energy_T0(gap: float, model: ReflectionModel, tol: float = 1e-8) -> Zer
 
     ``tol`` is the relative target for the error estimate (Kronrod -
     Gauss of the v panels plus the rows' own errors). Panels are
-    bisected up to ``core._TAIL_PANEL_CAP``; ConvergenceError carrying
-    the best estimate is raised if the target is still missed.
+    bisected up to ``quadrature._TAIL_PANEL_CAP``; ConvergenceError
+    carrying the best estimate is raised if the target is still missed.
     """
     if not (gap > 0.0 and math.isfinite(gap)):
         raise ValueError(f"gap must be finite and > 0 m, got {gap}")
     if not 0.0 < tol <= 1e-2:
         raise ValueError(f"tol must be in (0, 1e-2], got {tol}")
-    breaks = np.concatenate(([0.0], _start_breaks(tol)))
+    breaks = _start_breaks(tol, 0.0)
     # _eval_rects is looked up at each call, so a patch of it is seen
     tm, te, error, met, panels, _ = _bisect_panels(
         lambda lo, hi: _eval_rects(model, gap, lo, hi), breaks[:-1], breaks[1:],

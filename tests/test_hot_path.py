@@ -261,6 +261,59 @@ def test_euler_maclaurin_endpoint(scale):
         assert abs(corrected - exact) < 1e-10 * exact
 
 
+@pytest.mark.parametrize("channels", ["tm", "te", "both"])
+def test_adaptive_gk_meets_rel_tol_on_closed_forms(channels):
+    # sqrt(y) and y^{3/2} on [0, 4] (16/3 and 64/5): GK15 resolves their
+    # endpoint at 0 only by bisecting, and a None channel integrates to 0
+    seen = []
+
+    def f(y):
+        seen.append(y.size)
+        return (np.sqrt(y) if channels != "te" else None,
+                y * np.sqrt(y) if channels != "tm" else None)
+
+    rel_tol = 1e-10
+    tm, te, error, evaluations = quadrature.adaptive_gk(f, [0.0, 1.0, 4.0], rel_tol)
+    exact_tm = 16.0 / 3.0 if channels != "te" else 0.0
+    exact_te = 64.0 / 5.0 if channels != "tm" else 0.0
+    assert len(seen) > 1 and evaluations == sum(seen) and evaluations % 15 == 0
+    assert error <= rel_tol * abs(tm + te)
+    assert abs(tm - exact_tm) + abs(te - exact_te) <= error
+    if channels == "tm":
+        assert te == 0.0
+    if channels == "te":
+        assert tm == 0.0
+
+
+def test_adaptive_gk_raises_at_the_node_budget():
+    # y^{-0.9} on [0, 1] (10): each bisection of the first panel removes
+    # only a factor 2^{0.1} of its error, so the panels fill the budget
+    seen = []
+
+    def f(y):
+        seen.append(y.size)
+        return y ** -0.9, None
+
+    with pytest.raises(ConvergenceError, match="nodes") as err:
+        quadrature.adaptive_gk(f, [0.0, 1.0], 1e-12)
+    budget = quadrature._NODE_BUDGET
+    assert budget - 15 < sum(seen) < 3 * budget
+    assert 1e-12 * 10.0 < err.value.error_estimate < 1e-4
+    assert abs(err.value.best_estimate - 10.0) < 1e-4
+
+
+def test_adaptive_gk_raises_at_once_on_a_non_finite_integrand():
+    calls = []
+
+    def f(y):
+        calls.append(y.size)
+        return np.where(y > 0.5, np.nan, 1.0), None
+
+    with pytest.raises(ConvergenceError, match="not finite"):
+        quadrature.adaptive_gk(f, [0.0, 1.0, 2.0], 1e-8)
+    assert calls == [30]
+
+
 def test_kernels_match_the_two_branch_forms():
     w = np.concatenate([np.geomspace(1e-12, 0.6, 200), [math.log(2.0)],
                         np.nextafter(math.log(2.0), [0.0, 1.0]), np.linspace(0.7, 800.0, 200)])

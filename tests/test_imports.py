@@ -1,5 +1,6 @@
 """No module of the package imports a name it does not use or keeps a dead private one,
 no function of it has a parameter it never reads,
+only ``quadrature`` selects worst panels to bisect (``np.argpartition``),
 the README imports from ``lifshitz`` only names of ``lifshitz.__all__``, and importing
 the package, building the CLI parser, loading a table or making a table-backed call
 leaves scipy unloaded."""
@@ -112,6 +113,28 @@ def test_no_unread_parameter():
     for path in sorted(_PACKAGE.glob("*.py")):
         found += unread_parameters(path.read_text(), path.stem)
     assert found == []
+
+
+def modules_reading(sources: dict, attr: str) -> list:
+    """Names of the modules in ``sources`` (name -> source) that read ``np.<attr>``."""
+    return sorted(name for name, source in sources.items()
+                  if any(isinstance(n, ast.Attribute) and n.attr == attr
+                         and isinstance(n.value, ast.Name) and n.value.id == "np"
+                         for n in ast.walk(ast.parse(source))))
+
+
+def test_the_check_sees_a_second_worst_panel_selection():
+    sources = {"a": "import numpy as np\nw = np.argpartition(e, -4)[-4:]\n",
+               "b": "import numpy as np\nw = np.argsort(e)  # np.argpartition\n",
+               "c": "import numpy as np\npick = np.argpartition\n"}
+    assert modules_reading(sources, "argpartition") == ["a", "c"]
+
+
+def test_one_bisection_loop():
+    # np.argpartition picks the worst panels of quadrature._bisect_panels;
+    # a second panel-bisection loop elsewhere would pick its own
+    sources = {p.stem: p.read_text() for p in sorted(_PACKAGE.glob("*.py"))}
+    assert modules_reading(sources, "argpartition") == ["quadrature"]
 
 
 def readme_imports(text: str) -> list:

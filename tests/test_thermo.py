@@ -129,6 +129,19 @@ class TestSumMinusIntegral:
             free_energy_shift(PlateSystem(1e-6, 0.01, GOLD))
         assert np.unique(np.concatenate(seen)).size <= 130
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-3])
+    def test_nan_or_negative_tol_is_rejected(self, tol):
+        # a NaN tol used to bisect every rung to the panel cap
+        calls = []
+
+        def h(u):
+            calls.append(u.size)
+            return np.exp(-u)
+
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            sum_minus_integral(h, tol)
+        assert calls == []
+
     def test_non_finite_shift_raises(self):
         # a plasma response that turns NaN above zeta_5: the shift raises
         # instead of returning NaN (NaN > tol * NaN is False)
@@ -139,24 +152,26 @@ class TestSumMinusIntegral:
 
 @settings(max_examples=60, deadline=None)
 @given(s=st.floats(0.2, 5.0), half_power=st.booleans())
+# the 40-digit error is 2.10e-17 against a floor of 2.44e-17; rounding
+# the exact value to a double first made it 2.78e-17
+@example(s=4.5648991413951405, half_power=True)
 def test_floor_bounds_the_error_against_closed_forms(s, half_power):
     """h = e^{-su} and sqrt(u) e^{-su}: sum' h = 1/(1 - e^{-s}) - 1/2 and
     Li_{-1/2}(e^{-s}), Integral h = 1/s and sqrt(pi)/(2 s^{3/2}); at
-    every rung of the ladder."""
+    every rung of the ladder, against the 40-digit value."""
+    if half_power:
+        rungs = list(thermo._ladder(lambda u: np.sqrt(u) * np.exp(-s * u)))
+    else:
+        rungs = list(thermo._ladder(lambda u: np.exp(-s * u)))
+    assert [big_m for big_m, _, _ in rungs] == [32, 64, 128]
     with mpmath.workdps(40):
         x, ms = mpmath.exp(-s), mpmath.mpf(s)
         if half_power:
             exact = mpmath.polylog(-0.5, x) - mpmath.sqrt(mpmath.pi) / (2 * ms ** 1.5)
         else:
             exact = 1 / (1 - x) - mpmath.mpf(0.5) - 1 / ms
-        exact = float(exact)
-    if half_power:
-        rungs = list(thermo._ladder(lambda u: np.sqrt(u) * np.exp(-s * u)))
-    else:
-        rungs = list(thermo._ladder(lambda u: np.exp(-s * u)))
-    assert [big_m for big_m, _, _ in rungs] == [32, 64, 128]
-    for big_m, delta, floor in rungs:
-        assert abs(delta - exact) <= floor, big_m
+        for big_m, delta, floor in rungs:
+            assert abs(mpmath.mpf(delta) - exact) <= floor, big_m
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,12 +180,12 @@ def test_bisection_holds_tol_at_every_rung(s, tol):
     """h = e^{-su} at a tol of its own: every rung's panels, bisected to
     that tol, still bound the error by the floor, and the call returns
     the first rung whose floor is within tol of its bracket."""
-    with mpmath.workdps(40):
-        exact = float(1 / -mpmath.expm1(-mpmath.mpf(s)) - mpmath.mpf(0.5) - 1 / mpmath.mpf(s))
     h = lambda u: np.exp(-s * u)
     rungs = list(thermo._ladder(h, tol))
-    for big_m, delta, floor in rungs:
-        assert abs(delta - exact) <= floor, big_m
+    with mpmath.workdps(40):
+        exact = 1 / -mpmath.expm1(-mpmath.mpf(s)) - mpmath.mpf(0.5) - 1 / mpmath.mpf(s)
+        for big_m, delta, floor in rungs:
+            assert abs(mpmath.mpf(delta) - exact) <= floor, big_m
     first = next((r for r in rungs if r[2] <= tol * abs(r[1])), rungs[-1])
     assert sum_minus_integral(h, tol) == (first[1], first[2])
 
