@@ -25,11 +25,14 @@ reflection coefficients are the analytic limits that each model gives
 as ``zero_mode_log_reflection(q)`` (Drude-like metals lose the TE zero
 mode, the plasma model keeps a q-dependent one).
 
-Each y integral runs on GK15 panels at fixed offsets from its own y0.
-The zero mode and rows with y0 < e^0.3 - 1 use a dense 29-panel mesh
-whose geometric panels resolve the ln(1 - e^{-y}) endpoint layer; rows
-past it use a lean 11-panel mesh with 165 instead of 435 nodes, which
-agrees with the dense one to roundoff.
+Each y integral runs on a fixed rule shifted to its own y0. The zero
+mode and rows with y0 < e^0.3 - 1 use the exp-sinh rule in x = y - y0
+(Takahasi and Mori, Publ. RIMS 9, 721 (1974)), whose double-exponential
+clustering at x -> 0 resolves the ln(1 - e^{-y}) endpoint layer: 106
+nodes at y0 >= 1e-8, 212 below and for the zero mode. Rows past
+e^0.3 - 1 use GK15 on a lean 11-panel mesh (165 nodes). A row's error
+estimate comes from the rule's own coarser subrule (every other exp-sinh
+node, or the Gauss nodes of each GK15 panel).
 
 The sum is evaluated in blocks of terms sized from their decay,
 e^{-kappa m} with kappa = 2 a zeta_1 / c. It stops at the first term
@@ -162,41 +165,62 @@ class CoefficientSurface:
     b_te: np.ndarray
 
 
-# graded offsets from the lower integration limit y0 of the dense mesh;
-# the deep geometric section resolves the ln(1 - e^{-y}) endpoint of
+# graded start breaks of _refine_mode, as offsets from the row's y0: the
+# deep geometric section resolves the ln(1 - e^{-y}) endpoint of
 # near-unity reflectors at small y0, the linear section the exponential
-# decay out to y0 + 54. The zero mode, _refine_mode and rows below
-# _LEAN_Y0 use it.
+# decay out to y0 + 54.
 _Y_OFFSETS = np.array([
     0.0, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4,
     1e-3, 3e-3, 1e-2, 0.03, 0.1, 0.3, 0.6, 1.0, 1.6, 2.5,
     4.0, 6.0, 8.5, 11.5, 15.0, 19.0, 24.0, 30.0, 37.0, 45.0, 54.0,
 ])
 
-# offsets of the lean mesh, 11 panels for rows with y0 >= _LEAN_Y0: past
-# the endpoint layer these rows agree with a 600-panel reference to a few
-# 1e-15, and their error estimates stay below 5e-14 (metals) and 5e-13
-# (dielectrics) of the row's TM + TE value. A 9-panel mesh estimates up
-# to 2e-11, which would send rows to _refine_mode at tight tol. The
-# switch sits at v = ln(1 + y0) = 0.3, a break of _TAIL_BREAKS, so no
-# tail panel straddles the roundoff-level jump between the meshes.
-_LEAN_OFFSETS = np.array([0.0, 0.1, 0.3, 0.8, 1.6, 3.5, 6.5, 10.5, 16.0, 24.0, 36.0, 54.0])
+# GK15 on 11 panels at these offsets from y0 (165 nodes), for rows with
+# y0 >= _LEAN_Y0: past the endpoint layer these rows agree with a
+# 600-panel reference to a few 1e-15, and their error estimates stay
+# below 5e-14 (metals) and 5e-13 (dielectrics) of the row's TM + TE
+# value. A 9-panel mesh estimates up to 2e-11, which would send rows to
+# _refine_mode at tight tol. The switch sits at v = ln(1 + y0) = 0.3, a
+# break of _TAIL_BREAKS, so no tail panel straddles the roundoff-level
+# jump between the rules.
 _LEAN_Y0 = math.expm1(0.3)
+_LEAN_MESH = gk_panels(np.array([0.0, 0.1, 0.3, 0.8, 1.6, 3.5, 6.5, 10.5, 16.0, 24.0, 36.0,
+                                 54.0]))
 
 
-def _reference_mesh(offsets):
-    """GK15 nodes on ``offsets`` and both weight sets, shaped (panels, 15)."""
-    nodes, wk, wg = gk_panels(offsets)
-    shape = (offsets.size - 1, 15)
-    return nodes, wk.reshape(shape), wg.reshape(shape)
+def _exp_sinh(h: float):
+    """Exp-sinh rule on [0, inf): nodes x_k = exp((pi/2) sinh(k h)), weights
+    h (pi/2) cosh(k h) x_k, for integer k with k h in [-4.5, 3.2] and
+    x_k < 120 (past it the kernels are below e^-120 of their peak). The
+    third array holds the 2h rule on the same nodes: twice the weight at
+    even k, 0 at odd k. Returns (x, w, w_2h)."""
+    k = np.arange(round(-4.5 / h), math.floor(3.2 / h) + 1)
+    t = k * h  # exact multiples: a float np.arange moves every row by ~6e-15
+    x = np.exp(0.5 * math.pi * np.sinh(t))
+    w = (h * 0.5 * math.pi) * np.cosh(t) * x
+    keep = x < 120.0
+    return x[keep], w[keep], np.where(k % 2 == 0, 2.0 * w, 0.0)[keep]
 
 
-# built once: a row's mesh is one of these shifted by its own y0
-_DENSE_MESH = _reference_mesh(_Y_OFFSETS)
-_LEAN_MESH = _reference_mesh(_LEAN_OFFSETS)
+# Rows with y0 < _LEAN_Y0, and the zero mode, integrate by exp-sinh in
+# x = y - y0. The double-exponential clustering of nodes at x -> 0
+# resolves the ln(1 - e^{-y}) endpoint layer and a Drude TE row's turn
+# at y ~ y0 sqrt(eps - 1) without graded panels. Against 600-panel GK
+# references (metals, dielectrics and the 601-row table at 0.1-10 um,
+# both kinds) every row is within 2.0e-15 of its TM + TE value, and so
+# is each channel that holds at least 1e-5 of it. h = 0.06 (106 nodes)
+# serves y0 >= _FINE_Y0; below it a Drude TE channel on h = 0.06 is
+# 1.9e-11 of itself off at 1 um and y0 = 1e-10, so h = 0.03 (212 nodes)
+# serves those rows and the zero mode. The TE channel of a dielectric at
+# small y0, about y0^2 of its row, has its structure at x ~ y0, which
+# neither step resolves: eps 3 reads 4.4e-5 of that channel off at
+# y0 = 1e-8.
+_FINE_Y0 = 1e-8
+_DE_MESH = _exp_sinh(0.06)
+_FINE_DE_MESH = _exp_sinh(0.03)
 
-# rows per evaluation in mode_integrals, so that a (rows, 435) float
-# temporary is 0.2 MB. Of caps from 32 to 1024 timed on the 76k-term
+# rows per evaluation in mode_integrals, so that a (rows, 212) float
+# temporary is 0.1 MB. Of caps from 32 to 1024 timed on the 76k-term
 # pressure sum at 0.2 um and 0.1 K, 32 and 64 were fastest; larger caps
 # were slower, 256 by about 25%.
 _ROW_CAP = 64
@@ -206,9 +230,10 @@ def _gk_integrate(values, wk, wg):
     """Row integrals over a reference mesh with a per-panel Kronrod error model.
 
     ``values`` has shape (R, nodes) and is overwritten (with its absolute
-    values); ``wk`` and ``wg`` are the mesh's (panels, 15) Kronrod and
-    Gauss weights. Returns (integrals, errors), each (R,).
+    values); ``wk`` and ``wg`` are the mesh's Kronrod and Gauss weights,
+    15 per panel. Returns (integrals, errors), each (R,).
     """
+    wk, wg = wk.reshape(-1, 15), wg.reshape(-1, 15)
     v = values.reshape(values.shape[:-1] + wk.shape)
     k_panel = np.einsum("rpn,pn->rp", v, wk)
     g_panel = np.einsum("rpn,pn->rp", v, wg)
@@ -218,6 +243,27 @@ def _gk_integrate(values, wk, wg):
         rel = np.where(scale > 0.0, 200.0 * diff / np.maximum(scale, 1e-300), 0.0)
     err_panel = scale * np.minimum(1.0, rel ** 1.5)
     return k_panel.sum(axis=-1), err_panel.sum(axis=-1)
+
+
+def _de_integrate(values, w, w_2h):
+    """Row integrals of an ``_exp_sinh`` rule with their error estimates.
+
+    ``values`` has shape (R, nodes) and is overwritten (with its absolute
+    values). The error of a row is min(d, d^2 / s) + 16 eps s, with
+    d = |I_h - I_2h| and s = sum |w f|: the error of a double-exponential
+    rule roughly squares as h halves, and 16 eps s covers the roundoff
+    (at 1 eps s the estimate fell below a measured 2e-15). The estimates
+    of a row's two channels bound its TM + TE error; a TE channel that
+    holds under 1e-5 of its row (a dielectric or a lossy metal at small
+    y0) can be off by more than its own. Each row is contracted on its
+    own (``np.einsum``, not BLAS), so a row's value does not depend on
+    its batch. Returns (integrals, errors), each (R,).
+    """
+    integral = np.einsum("rn,n->r", values, w)
+    d = np.abs(integral - np.einsum("rn,n->r", values, w_2h))
+    s = np.einsum("rn,n->r", np.abs(values, out=values), w)
+    error = np.minimum(d, d * (d / np.maximum(s, np.finfo(float).tiny)))
+    return integral, error + 16.0 * np.finfo(float).eps * s
 
 
 def _channels(polarization: str):
@@ -238,7 +284,7 @@ def _log_reflection(model: ReflectionModel, zeta_col, p, tm=True, te=True):
     with np.errstate(divide="ignore"):
         ln_em1 = np.log(em1)
     # Grid-sized arrays are updated in place: each fresh temporary of a
-    # (rows, 435) batch costs page faults that outweigh the arithmetic.
+    # (rows, nodes) batch costs page faults that outweigh the arithmetic.
     shape = np.broadcast_shapes(em1.shape, np.shape(p))
     s, sp = np.empty(shape), np.empty(shape)
     np.multiply(p, p, out=s)
@@ -293,7 +339,7 @@ def reflection_coefficients(model: ReflectionModel, zeta, q) -> ReflectionPair:
 
 
 # The kernels work in the ln_r buffer, which they overwrite: each fresh
-# grid-sized temporary of a (rows, 435) batch costs page faults. Callers
+# grid-sized temporary of a (rows, nodes) batch costs page faults. Callers
 # hand over arrays they own (fresh from the ln R functions), never None.
 def _energy_kernel(y, ln_r):
     w = np.subtract(y, ln_r, out=ln_r)
@@ -317,6 +363,15 @@ _KINDS = {
 }
 
 
+def _kernel(kind: str, gap: float):
+    """The kernel of ``kind``, once ``kind`` and ``gap`` are checked."""
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be energy/pressure, got {kind!r}")
+    if not (gap > 0.0 and math.isfinite(gap)):
+        raise ValueError(f"gap must be finite and > 0 m, got {gap}")
+    return _KINDS[kind][0]
+
+
 def mode_integrals(model: ReflectionModel, gap: float, zetas, kind: str = "energy",
                    polarization: str = "both"):
     """Reduced integrals S_TM, S_TE over a 1-D batch of Matsubara frequencies.
@@ -324,28 +379,34 @@ def mode_integrals(model: ReflectionModel, gap: float, zetas, kind: str = "energ
     Returns (s_tm, s_te, err_tm, err_te), each shaped like ``zetas``.
     ``polarization`` ("both", "tm" or "te") names the channels computed;
     one not asked for is 0 with error 0, as one with R identically 0 is.
-    Row r is integrated on a reference mesh shifted to start at its own
+    Row r is integrated on a reference rule shifted to start at its own
     y0 = 2 a zeta_r / c (nodes y0 + reference nodes, weights shared by
-    all rows): the lean mesh when y0 >= ``_LEAN_Y0``, else the dense one
-    that resolves the endpoint layer. On either side the mesh is a
-    smooth function of zeta, and the switch changes a row by roundoff
-    only, at v = ln(1 + y0) = 0.3, a panel break of the Euler-Maclaurin
-    tail. So these values can be differenced between a sum over integers
-    and an integral over the continuous index without quadrature
-    artefacts. The rows of each mesh are evaluated at most ``_ROW_CAP``
-    at a time to bound the working set and scattered back into place; a
-    row's value does not depend on the batch it is in.
+    all rows): exp-sinh with h = 0.03 when y0 < ``_FINE_Y0``, with
+    h = 0.06 when y0 < ``_LEAN_Y0``, and the lean GK15 mesh past that.
+    Each rule is a smooth function of zeta, and a switch changes a row
+    by roundoff only; the one at ``_LEAN_Y0`` lies at v = ln(1 + y0) =
+    0.3, a panel break of the Euler-Maclaurin tail. So these values can
+    be differenced between a sum over integers and an integral over the
+    continuous index without quadrature artefacts. The rows of each rule
+    are evaluated at most ``_ROW_CAP`` at a time to bound the working
+    set and scattered back into place; a row's value does not depend on
+    the batch it is in. ValueError is raised before any row for an
+    unknown ``kind`` or ``polarization``, a gap that is not finite and
+    > 0, or a zeta that is not > 0.
     """
     tm, te = _channels(polarization)
+    kernel = _kernel(kind, gap)
     zetas = np.atleast_1d(np.asarray(zetas, dtype=float))
     if np.any(zetas <= 0.0):
         raise ValueError("zetas must be > 0; the m = 0 term is analytic")
-    kernel = _KINDS[kind][0]
     out = np.zeros((4,) + zetas.shape)
     y0s = (2.0 * gap / C_LIGHT) * zetas
-    lean = y0s >= _LEAN_Y0
-    for (ref_nodes, wk, wg), group in ((_DENSE_MESH, np.flatnonzero(~lean)),
-                                       (_LEAN_MESH, np.flatnonzero(lean))):
+    for mesh, group in ((_FINE_DE_MESH, y0s < _FINE_Y0),
+                        (_DE_MESH, (_FINE_Y0 <= y0s) & (y0s < _LEAN_Y0)),
+                        (_LEAN_MESH, y0s >= _LEAN_Y0)):
+        ref_nodes, *weights = mesh
+        integrate = _gk_integrate if mesh is _LEAN_MESH else _de_integrate
+        group = np.flatnonzero(group)
         for lo in range(0, group.size, _ROW_CAP):
             rows = group[lo:lo + _ROW_CAP]
             y0 = y0s[rows, None]
@@ -353,21 +414,22 @@ def mode_integrals(model: ReflectionModel, gap: float, zetas, kind: str = "energ
             logs = _log_reflection(model, zetas[rows, None], nodes / y0, tm, te)
             for pol, ln_r in enumerate(logs):  # rows pol and pol + 2 of out: S, error
                 if ln_r is not None:
-                    out[pol::2, rows] = _gk_integrate(kernel(nodes, ln_r), wk, wg)
+                    out[pol::2, rows] = integrate(kernel(nodes, ln_r), *weights)
     return tuple(out)
 
 
 def zero_mode_integrals(model: ReflectionModel, gap: float, kind: str = "energy",
                         polarization: str = "both"):
-    """Full-weight m = 0 reduced integrals (S0_TM, S0_TE) on the dense mesh;
-    ``polarization`` as in ``mode_integrals``."""
+    """Full-weight m = 0 reduced integrals (S0_TM, S0_TE) by the h = 0.03
+    exp-sinh rule from y = 0; ``polarization``, ``kind`` and ``gap`` are
+    checked as in ``mode_integrals``."""
     wanted = _channels(polarization)
-    kernel = _KINDS[kind][0]
-    ref_nodes, wk, wg = _DENSE_MESH
+    kernel = _kernel(kind, gap)
+    ref_nodes, w, w_2h = _FINE_DE_MESH
     nodes = ref_nodes[None, :]
     logs = model.zero_mode_log_reflection(nodes / (2.0 * gap))
     # a None log is a channel with R identically 0, which integrates to 0
-    s_tm, s_te = (_gk_integrate(kernel(nodes, ln), wk, wg)[0][0] if want and ln is not None
+    s_tm, s_te = (_de_integrate(kernel(nodes, ln), w, w_2h)[0][0] if want and ln is not None
                   else 0.0 for ln, want in zip(logs, wanted))
     return float(s_tm), float(s_te)
 
@@ -407,7 +469,7 @@ _TAIL_BREAKS = np.array([1e-4, 1e-3, 0.01, 0.05, 0.15, 0.3, 0.5, 0.8,
 # At tol >= _COARSE_TOL the first round of quadrature._bisect_panels
 # (at most quadrature._TAIL_PANEL_CAP = 32 panels) runs on the 8 breaks
 # {1e-3, 0.05, 0.3, 0.8, 1.7, 2.3, 3.5, ln 61} of _TAIL_BREAKS
-# (v = 0.3, the lean/dense switch, among them). For the T = 0 integral
+# (v = 0.3, the lean/exp-sinh switch, among them). For the T = 0 integral
 # of Drude, plasma, ideal and tabulated metals at 0.2-8 um they estimate
 # at most 1.5e-9 of it and move it by at most 1.4e-13 relative, so tol
 # 1e-8 needs no bisection. Tail-path sums at 0.2-4 um, 0.1-4 K move by

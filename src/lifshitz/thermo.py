@@ -75,7 +75,7 @@ def _t_panels(h, lo, hi, u_int=()):
     values = np.asarray(h(np.concatenate([u_int, (t * t).ravel()])), dtype=float)
     f = 2.0 * half * t * values[len(u_int):].reshape(t.shape)
     noise = _EPS * (np.abs(f) @ _GK_WK)
-    integral, quad_err = _gk_integrate(f, _GK_WK[None, :], _GK_WG[None, :])
+    integral, quad_err = _gk_integrate(f, _GK_WK, _GK_WG)
     return values[:len(u_int)], (integral, np.zeros_like(integral), quad_err, noise)
 
 
@@ -136,7 +136,7 @@ def sum_minus_integral(h: Callable, tol: float = 0.0):
     (delta, floor). The floor adds three parts: the cancellation
     roundoff estimate, eps times the summed magnitudes of the terms and
     of the weighted integrand values; the panels' quadrature error in
-    the converged-panel model of the Matsubara rows
+    the converged-panel model of the lean Matsubara rows
     (``core._gk_integrate``); and the bound on the Euler-Maclaurin
     remainder from ``euler_maclaurin_endpoint``. ConvergenceError (best
     estimate NaN) is raised when a term or panel is not finite, and

@@ -296,8 +296,8 @@ GAPS = (0.2e-6, 1e-6, 8e-6)
 
 
 class TestDenseMeshOracle:
-    """The GK15 t mesh, and the expansion's g rows on the reference
-    meshes of core.mode_integrals, against the dense references: the
+    """The GK15 t mesh, and the expansion's g rows on the row rules of
+    core.mode_integrals, against the dense references: the
     brackets agree within 5 floors, also where the result is below the
     50-floor rule and raises."""
 
@@ -305,7 +305,7 @@ class TestDenseMeshOracle:
     @pytest.mark.parametrize("t", [1e-3, 1e-2, 0.2])
     def test_g_rows(self, gap, t):
         # every u > 0 at which sum_minus_integral evaluates the expansion's
-        # h at tol = 0, all rungs and bisections; measured worst 5e-15 of
+        # h at tol = 0, all rungs and bisections; measured worst 4.8e-15 of
         # the set's max |g|
         system = PlateSystem(gap, t, GOLD)
         seen = []
@@ -342,12 +342,13 @@ class TestDenseMeshOracle:
 
     def test_plasma_against_mpmath(self):
         """Plasma free energy at 8 um and 1 mK, where the dense engine split
-        at M = 128 is itself 4.2 floors off: the bracket at M = 32 on the
-        library's rows, each the GK15 rule on its y mesh (dense below
-        y0 = e^0.3 - 1, lean above) with nodes y0 + offset, the t integral
-        on 30 Gauss-Legendre panels of 20 nodes, and the 7-point endpoint
-        correction, all in 40-digit mpmath. The bracket reads 1.9 floors
-        off it, the t mesh it replaced 0.6."""
+        at M = 128 is itself 4.2 floors off: the bracket at M = 32 on rows
+        integrated by GK15 on a y mesh at offsets from y0 (the 29-panel
+        dense mesh below y0 = e^0.3 - 1, the lean one above), the t
+        integral on 30 Gauss-Legendre panels of 20 nodes, and the 7-point
+        endpoint correction, all in 40-digit mpmath. The bracket on those
+        rows read 1.9 floors off it (its t mesh before the GK15 t panels
+        0.6); on the library's exp-sinh rows below e^0.3 - 1 it reads 2.3."""
         reference = -5.90068188411321897074450686923e-11
         system = PlateSystem(8e-6, 1e-3, PlasmaModel(GOLD.omega_p))
         delta, floor = _brackets(lambda: free_energy_shift(system), dense=False)
