@@ -20,7 +20,8 @@ P = -dF/da:
 
     P = -(k_B T / 8 pi a^3) * sum'_m Integral y^2 / (e^{y - ln R} - 1) dy.
 
-The m = 0 term never comes from a zeta -> 0 numerical limit; its
+The m = 0 term is the zeta = 0 row of the one row evaluator,
+``mode_integrals``, and never a zeta -> 0 numerical limit: its
 reflection coefficients are the analytic limits that each model gives
 as ``zero_mode_log_reflection(q)`` (Drude-like metals lose the TE zero
 mode, the plasma model keeps a q-dependent one).
@@ -63,7 +64,8 @@ only for tol below about 1e-12), the direct sum goes on instead.
 The tail's panels and start breaks (``_tail_panels``, ``_start_breaks``)
 also give the T = 0 free energy in ``zero_temp``: the same integral over
 the continuous index, from u = 0 with zeta_1 = c / 2a. Both bisect on
-``quadrature._bisect_panels``, as do the thermal shifts' t panels.
+``quadrature._bisect_panels``, as do the thermal shifts' t panels, whose
+h(u) takes its rows, u = 0 included, from ``mode_integrals`` too.
 """
 
 from __future__ import annotations
@@ -383,6 +385,8 @@ def mode_integrals(model: ReflectionModel, gap: float, zetas, kind: str = "energ
     y0 = 2 a zeta_r / c (nodes y0 + reference nodes, weights shared by
     all rows): exp-sinh with h = 0.03 when y0 < ``_FINE_Y0``, with
     h = 0.06 when y0 < ``_LEAN_Y0``, and the lean GK15 mesh past that.
+    A zeta = 0 row, the full-weight zero mode, is a group of its own on
+    h = 0.03 from y = 0, with the model's zero_mode_log_reflection(y / 2a).
     Each rule is a smooth function of zeta, and a switch changes a row
     by roundoff only; the one at ``_LEAN_Y0`` lies at v = ln(1 + y0) =
     0.3, a panel break of the Euler-Maclaurin tail. So these values can
@@ -392,26 +396,33 @@ def mode_integrals(model: ReflectionModel, gap: float, zetas, kind: str = "energ
     set and scattered back into place; a row's value does not depend on
     the batch it is in. ValueError is raised before any row for an
     unknown ``kind`` or ``polarization``, a gap that is not finite and
-    > 0, or a zeta that is not > 0.
+    > 0, or a zeta that is not finite and >= 0.
     """
     tm, te = _channels(polarization)
     kernel = _kernel(kind, gap)
     zetas = np.atleast_1d(np.asarray(zetas, dtype=float))
-    if np.any(zetas <= 0.0):
-        raise ValueError("zetas must be > 0; the m = 0 term is analytic")
+    # ndarray methods: np.all and np.flatnonzero add 1-4 us of dispatch each
+    if not (np.isfinite(zetas) & (zetas >= 0.0)).all():
+        raise ValueError("zetas must be finite and >= 0 (0 is the zero mode)")
     out = np.zeros((4,) + zetas.shape)
     y0s = (2.0 * gap / C_LIGHT) * zetas
-    for mesh, group in ((_FINE_DE_MESH, y0s < _FINE_Y0),
+    zero = zetas == 0.0
+    for mesh, group in ((_FINE_DE_MESH, zero),
+                        (_FINE_DE_MESH, ~zero & (y0s < _FINE_Y0)),
                         (_DE_MESH, (_FINE_Y0 <= y0s) & (y0s < _LEAN_Y0)),
                         (_LEAN_MESH, y0s >= _LEAN_Y0)):
         ref_nodes, *weights = mesh
         integrate = _gk_integrate if mesh is _LEAN_MESH else _de_integrate
-        group = np.flatnonzero(group)
+        group = group.nonzero()[0]
         for lo in range(0, group.size, _ROW_CAP):
             rows = group[lo:lo + _ROW_CAP]
             y0 = y0s[rows, None]
             nodes = y0 + ref_nodes
-            logs = _log_reflection(model, zetas[rows, None], nodes / y0, tm, te)
+            if zero[rows[0]]:
+                ln_a, ln_b = model.zero_mode_log_reflection(nodes / (2.0 * gap))
+                logs = (ln_a if tm else None), (ln_b if te else None)
+            else:
+                logs = _log_reflection(model, zetas[rows, None], nodes / y0, tm, te)
             for pol, ln_r in enumerate(logs):  # rows pol and pol + 2 of out: S, error
                 if ln_r is not None:
                     out[pol::2, rows] = integrate(kernel(nodes, ln_r), *weights)
@@ -420,18 +431,10 @@ def mode_integrals(model: ReflectionModel, gap: float, zetas, kind: str = "energ
 
 def zero_mode_integrals(model: ReflectionModel, gap: float, kind: str = "energy",
                         polarization: str = "both"):
-    """Full-weight m = 0 reduced integrals (S0_TM, S0_TE) by the h = 0.03
-    exp-sinh rule from y = 0; ``polarization``, ``kind`` and ``gap`` are
-    checked as in ``mode_integrals``."""
-    wanted = _channels(polarization)
-    kernel = _kernel(kind, gap)
-    ref_nodes, w, w_2h = _FINE_DE_MESH
-    nodes = ref_nodes[None, :]
-    logs = model.zero_mode_log_reflection(nodes / (2.0 * gap))
-    # a None log is a channel with R identically 0, which integrates to 0
-    s_tm, s_te = (_de_integrate(kernel(nodes, ln), w, w_2h)[0][0] if want and ln is not None
-                  else 0.0 for ln, want in zip(logs, wanted))
-    return float(s_tm), float(s_te)
+    """Full-weight m = 0 reduced integrals (S0_TM, S0_TE): the zeta = 0 row
+    of ``mode_integrals``, as floats and without its error estimates."""
+    s_tm, s_te, _, _ = mode_integrals(model, gap, 0.0, kind, polarization)
+    return float(s_tm[0]), float(s_te[0])
 
 
 def _refine_mode(model, gap, zeta, kind, rel_tol):
@@ -591,7 +594,9 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
     are the explicit ones, m = 0 .. last_m.
 
     Each block of terms, sized by ``_block_ends``, is decided in one
-    pass. First every row whose error estimate misses tol / 10 of its
+    pass. The first block starts at m = 0, the zeta = 0 row of
+    ``mode_integrals``, whose value and error take the half weight.
+    First every row m > 0 whose error estimate misses tol / 10 of its
     value (floored at 1e-4 of the running sum before it) is refined by
     ``_refine_mode``; a refined row changes only the running sums at and
     after it, so no decision before it moves. Then the running sum is a
@@ -613,13 +618,8 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
     """
     model, a, temp = system.model, system.gap, system.temperature
     quad_tol = tol / 10.0
-    s0_tm, s0_te = zero_mode_integrals(model, a, kind)
-    kept = [(np.array([0.5 * s0_tm]), np.array([0.5 * s0_te]))]
-    acc = prev_total = 0.5 * (s0_tm + s0_te)
-    if not math.isfinite(acc):
-        _raise_non_finite([], "term m = 0")
-    last_tail = math.inf
-    m_next = 1
+    # a NaN term before m = 0 never falls, so m_max = 0 reports an infinite error
+    kept, acc, prev_total, last_tail, m_next = [], 0.0, math.nan, math.inf, 0
     zeta1 = matsubara_frequency(1, temp)
     predicted = _predicted_stop(2.0 * a * zeta1 / C_LIGHT, tol)
     rungs = _EM_RUNGS if predicted > _EM_SWITCH else _EM_RUNGS[-1:]
@@ -628,10 +628,12 @@ def _matsubara_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
     while m_next <= m_max:
         ms = np.arange(m_next, min(next(ends), m_max) + 1)
         s_tm, s_te, e_tm, e_te = mode_integrals(model, a, zeta1 * ms, kind)
+        if ms[0] == 0:  # the zero mode's half weight, on its values and errors
+            s_tm[0], s_te[0], e_tm[0], e_te[0] = (0.5 * c[0] for c in (s_tm, s_te, e_tm, e_te))
         totals = s_tm + s_te
         before = np.cumsum(np.concatenate(([acc], totals)))[:-1]
         refine = e_tm + e_te > quad_tol * np.maximum(np.abs(totals), 1e-4 * np.abs(before))
-        for i in np.flatnonzero(refine):
+        for i in np.flatnonzero(refine & (ms > 0)):  # _refine_mode needs y0 > 0
             s_tm[i], s_te[i] = _refine_mode(model, a, float(zeta1 * ms[i]), kind, quad_tol)
         totals = s_tm + s_te
         after = np.cumsum(np.concatenate(([acc], totals)))[1:]

@@ -47,12 +47,12 @@ import numpy as np
 
 from .asymptotics import AsymptoticCoefficients, _c_scale, _SkinEffectMetal, pade_delta_f
 from .constants import K_BOLTZMANN, ZETA3, matsubara_frequency
-from .core import PlateSystem, _gk_integrate, _prefactor, mode_integrals, zero_mode_integrals
+from .core import PlateSystem, _gk_integrate, _prefactor, mode_integrals
 from .dispersion import DrudeModel
 from .errors import ConvergenceError, PrecisionError, RegimeError
 from .quadrature import _bisect_panels, euler_maclaurin_endpoint, fsum, gk_panels
 
-_EPS = np.finfo(float).eps
+_NOISE = 2.0 * np.finfo(float).eps  # roundoff per value: one to compute it, one to sum it
 _RUNGS = (32, 64, 128)  # split indices M of sum_minus_integral, tried in turn
 _FIT_RESIDUAL_MAX = 0.05  # rms relative residual above which fit_low_temp raises
 
@@ -68,13 +68,13 @@ def _t_panels(h, lo, hi, u_int=()):
     """h on the integers ``u_int`` and per-panel (integral, 0, quadrature
     error, roundoff) of h du = 2 t h dt over the t panels [lo, hi], in one
     call of ``h``: the panels' GK15 error in the converged-panel model of
-    ``core._gk_integrate`` and eps times the summed |weight * value|.
+    ``core._gk_integrate`` and 2 eps times the summed |weight * value|.
     """
     half = 0.5 * (hi - lo)[:, None]
     t = 0.5 * (hi + lo)[:, None] + half * _GK_X
     values = np.asarray(h(np.concatenate([u_int, (t * t).ravel()])), dtype=float)
     f = 2.0 * half * t * values[len(u_int):].reshape(t.shape)
-    noise = _EPS * (np.abs(f) @ _GK_WK)
+    noise = _NOISE * (np.abs(f) @ _GK_WK)
     integral, quad_err = _gk_integrate(f, _GK_WK, _GK_WG)
     return values[:len(u_int)], (integral, np.zeros_like(integral), quad_err, noise)
 
@@ -110,7 +110,7 @@ def _ladder(h, tol=0.0):
         total = fsum(sum_terms)
         # Euler-Maclaurin endpoint corrections at M
         correction, remainder = euler_maclaurin_endpoint(hv[big_m - 3:big_m + 4], big_m)
-        fixed = _EPS * np.abs(sum_terms).sum() + float(remainder)
+        fixed = _NOISE * np.abs(sum_terms).sum() + float(remainder)
         integral, _, floor, _, _, (lo, hi, panels) = _bisect_panels(
             lambda lo, hi: _t_panels(h, lo, hi)[1], lo, hi,
             lambda i, _, rest: max(tol * abs(total - i + correction), 2.0 * rest),
@@ -134,10 +134,10 @@ def sum_minus_integral(h: Callable, tol: float = 0.0):
     within max(tol |delta|, twice the roundoff and remainder parts), so
     tol = 0 converges to roundoff. No u is evaluated twice. Returns
     (delta, floor). The floor adds three parts: the cancellation
-    roundoff estimate, eps times the summed magnitudes of the terms and
-    of the weighted integrand values; the panels' quadrature error in
-    the converged-panel model of the lean Matsubara rows
-    (``core._gk_integrate``); and the bound on the Euler-Maclaurin
+    roundoff estimate, 2 eps (``_NOISE``) times the summed magnitudes of
+    the terms and of the weighted integrand values; the panels'
+    quadrature error in the converged-panel model of the lean Matsubara
+    rows (``core._gk_integrate``); and the bound on the Euler-Maclaurin
     remainder from ``euler_maclaurin_endpoint``. ConvergenceError (best
     estimate NaN) is raised when a term or panel is not finite, and
     ValueError when ``tol`` is negative or NaN.
@@ -187,23 +187,19 @@ def _thermal_shift(system: PlateSystem, kind: str, polarization: str,
     """sign k T / (8 pi a^power) [sum' h - int h], h(u) = S(zeta_1 u).
 
     S is the reduced integral of ``kind`` ("energy" or "pressure") for
-    the chosen polarization; the m = 0 value is the zero mode. The
-    prefactor is ``core._prefactor``. The bracket is that of the first
-    rung of ``sum_minus_integral`` whose error floor is at most ``tol``
-    times it (default: 50 floors); PrecisionError is raised when the
-    top rung misses it too, ConvergenceError when h is not finite.
+    the chosen polarization, from ``mode_integrals`` at zeta_1 u for
+    every u, so h(0) is its zeta = 0 row, the zero mode. The prefactor
+    is ``core._prefactor``. The bracket is that of the first rung of
+    ``sum_minus_integral`` whose error floor is at most ``tol`` times it
+    (default: 50 floors); PrecisionError is raised when the top rung
+    misses it too, ConvergenceError when h is not finite.
     """
     model, gap, temp = system.model, system.gap, system.temperature
     zeta1 = matsubara_frequency(1, temp)
-    s0_tm, s0_te = zero_mode_integrals(model, gap, kind, polarization)
 
     def h(u):
-        out = np.empty_like(u)
-        pos = u > 0.0
-        s_tm, s_te, _, _ = mode_integrals(model, gap, zeta1 * u[pos], kind, polarization)
-        out[pos] = s_tm + s_te
-        out[~pos] = s0_tm + s0_te
-        return out
+        s_tm, s_te, _, _ = mode_integrals(model, gap, zeta1 * u, kind, polarization)
+        return s_tm + s_te
 
     delta, floor = sum_minus_integral(h, tol)
     if floor > tol * abs(delta):

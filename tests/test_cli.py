@@ -307,6 +307,18 @@ class TestFailureModes:
         assert err == ("error: lowest decade of the grid holds fewer than 3 "
                        "distinct temperatures\n")
 
+    def test_zero_temperature_inside_a_range(self, capsys):
+        # T = 0 routes free-energy to the T = 0 integral only as a scalar
+        rc, out, err = run_cli(capsys, "free-energy", "--gap", "1e-6", "--temp", "0:300:2:lin")
+        assert (rc, out) == (1, "")
+        assert err == "error: T = 0 must be requested as a scalar, not a range\n"
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        rc, out, err = run_cli(capsys, "pressure", "--gap", "1e-6", "--temp", "300",
+                               "--out", str(tmp_path / "missing" / "p.csv"))
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and "p.csv" in err
+
     def test_negative_gap(self, capsys):
         rc, _, err = run_cli(capsys, "pressure", "--gap=-1e-6", "--temp", "300")
         assert rc == 1

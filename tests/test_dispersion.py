@@ -121,7 +121,26 @@ class TestTabulated:
         assert z ** 2 * tab.eps_minus_one(z) == pytest.approx(
             z ** 2 * GOLD.eps_minus_one(z), rel=1e-2)
 
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_short_table_interpolates_linearly_in_log_log(self, rows):
+        # fewer than four rows: log(eps - 1) linear in log zeta between the
+        # knots, the fitted Drude tail below them
+        zeta = np.array([1e13, 1e14, 1e15])[:rows]
+        eps = np.array([101.0, 11.0, 1.5])[:rows]
+        tab = TabulatedPermittivity(zeta, eps)
+        assert tab._coef is None
+        assert tab.eps_minus_one(zeta) == pytest.approx(eps - 1.0, rel=1e-14)
+        mid = np.sqrt(zeta[:-1] * zeta[1:])
+        assert tab.eps_minus_one(mid) == pytest.approx(np.sqrt((eps[:-1] - 1.0)
+                                                               * (eps[1:] - 1.0)), rel=1e-14)
+        below = np.array([1e11, 5e12])
+        assert isinstance(tab.low_freq_model, DrudeModel)
+        assert np.array_equal(tab.eps_minus_one(below), tab.low_freq_model.eps_minus_one(below))
+
     def test_validation(self):
+        for zeta in ([0.0, 2.0], [-1.0, 2.0]):
+            with pytest.raises(TableFormatError, match="zeta must be > 0"):
+                TabulatedPermittivity(np.array(zeta), np.array([2.0, 2.0]))
         with pytest.raises(TableFormatError):
             TabulatedPermittivity(np.array([1.0]), np.array([2.0]))
         with pytest.raises(TableFormatError):
@@ -287,6 +306,14 @@ class TestLoader:
             load_permittivity_table(io.StringIO(bad))
         assert err.value.line_number == 3
         assert "increasing" in str(err.value)
+
+    @pytest.mark.parametrize("line, message", [
+        ("nan 2.0", "non-finite value"), ("1e14 inf", "non-finite value"),
+        ("0 2.0", "zeta must be > 0"), ("-1e14 2.0", "zeta must be > 0")])
+    def test_non_finite_or_non_positive_row_rejected(self, line, message):
+        with pytest.raises(TableFormatError, match=message) as err:
+            load_permittivity_table(io.StringIO(f"# header\n1e13 100.0\n{line}\n"))
+        assert err.value.line_number == 3
 
     def test_wrong_column_count(self):
         with pytest.raises(TableFormatError) as err:

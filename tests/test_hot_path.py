@@ -194,7 +194,7 @@ def test_tail_bisects_then_gives_way_to_the_direct_sum(monkeypatch):
 
 
 def test_cryogenic_tail_evaluates_the_pinned_rows(monkeypatch):
-    # the 0.2 um, 0.1 K stress case: 35 block rows (m = 1 .. M + 3) and
+    # the 0.2 um, 0.1 K stress case: 36 block rows (m = 0 .. M + 3) and
     # 7 tail panels of 15 rows (the coarse start above v(32) = 0.0036),
     # with no bisection at tol = 1e-6
     rows = []
@@ -207,7 +207,7 @@ def test_cryogenic_tail_evaluates_the_pinned_rows(monkeypatch):
     monkeypatch.setattr(core, "mode_integrals", counting)
     res = pressure(PlateSystem(0.2e-6, 0.1, GOLD), tol=1e-6)
     assert res.m_max == 32
-    assert sum(rows) == 35 + 7 * 15
+    assert sum(rows) == 36 + 7 * 15
 
 
 def test_non_finite_tail_row_stops_the_sum(monkeypatch):
@@ -466,6 +466,30 @@ def test_gap_that_is_not_finite_and_positive_is_rejected_before_any_row(gap, mon
             zero_mode_integrals(GOLD, gap, kind)
 
 
+@pytest.mark.parametrize("zeta", [math.nan, math.inf, -1.0], ids=["nan", "inf", "neg"])
+def test_zeta_that_is_not_finite_and_non_negative_is_rejected_before_any_row(zeta, monkeypatch):
+    # unchecked, a NaN zeta fell into no rule group and its row read (0, 0, 0, 0)
+    monkeypatch.setattr(core, "_log_reflection", _no_rows)
+    monkeypatch.setattr(DrudeModel, "zero_mode_log_reflection", _no_rows)
+    for kind in ("energy", "pressure"):
+        with pytest.raises(ValueError, match="zetas must be finite and >= 0"):
+            mode_integrals(GOLD, 1e-6, np.concatenate([[0.0], _ROW_ZETAS, [zeta]]), kind)
+
+
+@pytest.mark.parametrize("model", _ROW_MODELS, ids=_ROW_IDS)
+@pytest.mark.parametrize("kind", ["energy", "pressure"])
+def test_zero_rows_in_a_batch_keep_their_single_call_values(model, kind):
+    # zeta = 0 first, among the rows on both sides of both switches, and last
+    gap = 1e-6
+    zetas = _switch_zetas(gap)
+    zetas = np.insert(zetas, [0, zetas.size // 2, zetas.size], 0.0)
+    batch = mode_integrals(model, gap, zetas, kind)
+    for row, zeta in enumerate(zetas):
+        alone = mode_integrals(model, gap, [zeta], kind)
+        for whole, single in zip(batch, alone):
+            assert whole[row] == single[0]
+
+
 def test_unknown_polarization_is_rejected_before_any_row(monkeypatch):
     monkeypatch.setattr(core, "_log_reflection", _no_rows)
     monkeypatch.setattr(DrudeModel, "zero_mode_log_reflection", _no_rows)
@@ -603,6 +627,27 @@ def test_zero_mode_matches_a_dense_mesh(model, kind):
         for value, ln_r in zip(values, logs):
             reference = 0.0 if ln_r is None else math.fsum(wk * kernel(nodes, ln_r))
             assert abs(value - reference) <= 5e-15 * abs(sum(values))
+
+
+@pytest.mark.parametrize("model", _DE_MODELS, ids=_DE_IDS)
+@pytest.mark.parametrize("kind", ["energy", "pressure"])
+def test_zero_row_is_the_zero_mode(model, kind):
+    # the zeta = 0 row of mode_integrals: the h = 0.03 exp-sinh rule from
+    # y = 0 on the model's zero_mode_log_reflection(y / 2a), contracted by
+    # _de_integrate with its error estimate; zero_mode_integrals is its value
+    gap = 1e-6
+    nodes, w, w_2h = core._FINE_DE_MESH
+    for polarization, wanted in (("both", (True, True)), ("tm", (True, False)),
+                                 ("te", (False, True))):
+        out = mode_integrals(model, gap, [0.0], kind, polarization)
+        assert zero_mode_integrals(model, gap, kind, polarization) == (out[0][0], out[1][0])
+        for pol, want in enumerate(wanted):
+            ln_r = model.zero_mode_log_reflection(nodes[None, :] / (2.0 * gap))[pol]
+            if not want or ln_r is None:
+                assert out[pol][0] == out[pol + 2][0] == 0.0
+                continue
+            value, error = core._de_integrate(core._KINDS[kind][0](nodes[None, :], ln_r), w, w_2h)
+            assert (out[pol][0], out[pol + 2][0]) == (value[0], error[0])
 
 
 # (gap, T): m_max of (free_energy, pressure) with gold at tol 1e-6, 1e-9, 1e-12
@@ -781,6 +826,18 @@ def test_convergence_error_reports_the_geometric_tail():
     assert err.value.error_estimate == math.inf
 
 
+@pytest.mark.parametrize("model", [GOLD, PlasmaModel(GOLD.omega_p)], ids=["drude", "plasma"])
+def test_m_max_zero_reports_the_half_zero_mode(model):
+    # no term comes before m = 0, so none has fallen: the error estimate is infinite
+    system = PlateSystem(1e-6, 300.0, model)
+    s0_tm, s0_te = zero_mode_integrals(model, 1e-6)
+    with pytest.raises(ConvergenceError, match="after m = 0") as err:
+        free_energy(system, m_max=0)
+    assert err.value.best_estimate == core._prefactor(system, "energy") * (0.5 * s0_tm
+                                                                           + 0.5 * s0_te)
+    assert err.value.error_estimate == math.inf
+
+
 def test_free_energy_terms_are_a_read_only_array():
     res = free_energy(PlateSystem(1e-6, 300.0, GOLD))
     assert res.terms.dtype == np.float64 and len(res.terms) == res.m_max + 1
@@ -837,14 +894,20 @@ def test_non_finite_term_stops_the_sum(monkeypatch):
     monkeypatch.setattr(core, "mode_integrals", poisoned)
     with pytest.raises(ConvergenceError, match="m = 20 is not finite") as err:
         free_energy(system, tol=1e-6)
-    assert rows == [35]
+    assert rows == [36]  # the first block, m = 0 .. 35
     assert err.value.best_estimate == partial.value.best_estimate
     assert math.isfinite(err.value.best_estimate)
 
 
 def test_non_finite_zero_mode_stops_the_sum(monkeypatch):
-    monkeypatch.setattr(core, "zero_mode_integrals",
-                        lambda model, gap, kind="energy": (math.nan, 0.0))
+    real_modes = core.mode_integrals
+
+    def poisoned(model, gap, zetas, kind="energy"):
+        s_tm, s_te, e_tm, e_te = real_modes(model, gap, zetas, kind)
+        s_tm[np.asarray(zetas) == 0.0] = math.nan  # the zeta = 0 row only
+        return s_tm, s_te, e_tm, e_te
+
+    monkeypatch.setattr(core, "mode_integrals", poisoned)
     with pytest.raises(ConvergenceError, match="m = 0 is not finite") as err:
         pressure(PlateSystem(1e-6, 300.0, GOLD))
     assert err.value.best_estimate == 0.0

@@ -1,6 +1,8 @@
 """No module of the package imports a name it does not use or keeps a dead private one,
 no function of it has a parameter it never reads,
 only ``quadrature`` selects worst panels to bisect (``np.argpartition``),
+no function of it calls ``zero_mode_integrals`` (the zero mode is the zeta = 0
+row of ``mode_integrals``),
 the README imports from ``lifshitz`` only names of ``lifshitz.__all__``, and importing
 the package, building the CLI parser, loading a table or making a table-backed call
 leaves scipy unloaded."""
@@ -135,6 +137,36 @@ def test_one_bisection_loop():
     # a second panel-bisection loop elsewhere would pick its own
     sources = {p.stem: p.read_text() for p in sorted(_PACKAGE.glob("*.py"))}
     assert modules_reading(sources, "argpartition") == ["quadrature"]
+
+
+def functions_calling(sources: dict, name: str) -> list:
+    """``module.function`` for each function in ``sources`` (module -> source)
+    whose body, nested functions included, calls ``name`` or ``<obj>.name``."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(n, ast.Call) and name in (getattr(n.func, "id", None),
+                                                         getattr(n.func, "attr", None))
+                    for n in ast.walk(node)):
+                found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_the_check_sees_a_call_to_zero_mode_integrals():
+    sources = {"a": "def f(m):\n    return zero_mode_integrals(m, 1e-6)\n",
+               "b": "def g(m):\n    def h(u):\n        return core.zero_mode_integrals(m, u)\n"
+                    "    return h\n",
+               "c": "def zero_mode_integrals(m):\n    return mode_integrals(m, 0.0)\n\n"
+                    "def k():\n    return 'zero_mode_integrals()'\n"}
+    assert functions_calling(sources, "zero_mode_integrals") == ["a.f", "b.g", "b.h"]
+
+
+def test_no_function_calls_zero_mode_integrals():
+    # the sum and the shifts take m = 0 as the zeta = 0 row of mode_integrals;
+    # the wrapper stays for callers outside the package
+    sources = {p.stem: p.read_text() for p in sorted(_PACKAGE.glob("*.py"))}
+    assert functions_calling(sources, "zero_mode_integrals") == []
 
 
 def readme_imports(text: str) -> list:

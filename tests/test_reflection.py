@@ -230,6 +230,14 @@ class TestValidation:
             call(value)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0], ids=["zero", "neg"])
+@pytest.mark.parametrize("grids", [
+    lambda x: ([1e13, x], [1e5]), lambda x: ([1e13], [1e5, x])], ids=["zeta", "kperp"])
+def test_surface_rejects_a_non_positive_grid(grids, value):
+    with pytest.raises(ValueError, match="grids must be positive"):
+        coefficient_surface(GOLD, *grids(value))
+
+
 def test_surface_grid():
     zeta = np.geomspace(1e13, 1e16, 8)
     kperp = np.geomspace(1e4, 1e8, 11)

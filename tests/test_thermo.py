@@ -152,9 +152,13 @@ class TestSumMinusIntegral:
 
 @settings(max_examples=60, deadline=None)
 @given(s=st.floats(0.2, 5.0), half_power=st.booleans())
-# the 40-digit error is 2.10e-17 against a floor of 2.44e-17; rounding
-# the exact value to a double first made it 2.78e-17
+# the 40-digit error is 2.10e-17 against a floor of 4.69e-17 (2.44e-17
+# at one eps per value); rounding the exact value to a double first made
+# it 2.78e-17
 @example(s=4.5648991413951405, half_power=True)
+# 2.064e-17 off at every rung: above the floor of one eps per value
+# (1.960e-17), 0.53 of the floor of two
+@example(s=4.994371087807205, half_power=True)
 def test_floor_bounds_the_error_against_closed_forms(s, half_power):
     """h = e^{-su} and sqrt(u) e^{-su}: sum' h = 1/(1 - e^{-s}) - 1/2 and
     Li_{-1/2}(e^{-s}), Integral h = 1/s and sqrt(pi)/(2 s^{3/2}); at
@@ -579,6 +583,12 @@ class TestFitLowTemp:
         hot = [(10.0 * t, v) for (t, v) in good]
         with pytest.raises(ValueError):
             fit_low_temp(hot)
+
+    def test_samples_spanning_less_than_a_decade_rejected(self):
+        grid = np.geomspace(5e-3, 4.9e-2, 12)
+        samples = [(float(t), GOLD_COEFFS.c1 * float(t) ** 2) for t in grid]
+        with pytest.raises(ValueError, match="span at least one decade"):
+            fit_low_temp(samples)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_rejected(self, bad):
