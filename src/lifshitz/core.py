@@ -702,6 +702,8 @@ def _thermal_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
     """
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol must be in (0, 1e-4], got {tol}")
+    if not m_max >= 0:  # NaN fails too
+        raise ValueError(f"m_max must be >= 0, got {m_max}")
     pref = _prefactor(system, kind)
     try:
         terms_tm, terms_te, last_m, tail, (tail_tm, tail_te) = _matsubara_sum(

@@ -18,10 +18,11 @@ Models:
 * DrudeModel      eps = 1 + omega_p^2 / (zeta (zeta + nu))
 * PlasmaModel     eps = 1 + omega_p^2 / zeta^2
 * ConstantPermittivity  fixed eps >= 1 (degenerate test model)
-* TabulatedPermittivity  cubic interpolation of measured data in
-  (log zeta, log(eps-1)), Drude continuation below the table and a
-  power law above it. The spline and the Drude fit are written here in
-  numpy, the package's only numerical dependency.
+* TabulatedPermittivity  measured data as one piecewise cubic in
+  (log zeta, log(eps-1)) from the first knot up (linear rows below four
+  samples; a last linear row, the power law of the last interval), a
+  fitted Drude model below it. The spline and the Drude fit are numpy,
+  the package's only numerical dependency.
 """
 
 from __future__ import annotations
@@ -209,16 +210,14 @@ def _fit_drude(z: np.ndarray, log_e: np.ndarray) -> DrudeModel:
 class TabulatedPermittivity:
     """Permittivity interpolated from (zeta, eps) samples.
 
-    Inside the tabulated range a not-a-knot cubic spline in
-    (log zeta, log(eps-1)) is used, or linear interpolation on the same
-    axes for a table of fewer than four rows; linear interpolation is
-    not accurate enough for 1e-6-level free-energy reproduction at
-    realistic grid densities. Below the range the permittivity follows
-    a Drude model least-squares fitted in log(eps-1) to the lowest
-    decade of samples (at least two); above it, a power law continuing
-    the last log-log slope. The zero mode is that of the
-    low-frequency model: the fitted Drude model unless ``low_freq_model``
-    gives another.
+    From the first knot up, log(eps-1) is one piecewise cubic in
+    log zeta with a Horner row per knot: the not-a-knot spline between
+    the knots, or linear rows below four samples (too coarse for
+    1e-6-level free energies at realistic grid densities), and from the
+    last knot on a linear row continuing the last log-log slope. Below
+    the first knot a Drude model least-squares fitted in log(eps-1) to
+    the lowest decade of samples (at least two) takes over, unless
+    ``low_freq_model`` gives another; the zero mode is that model's.
     """
 
     def __init__(self, zeta: np.ndarray, eps: np.ndarray,
@@ -239,10 +238,12 @@ class TabulatedPermittivity:
         self.eps = eps
         self._log_z = np.log(zeta)
         self._log_e = np.log(eps - 1.0)
-        self._coef = (_not_a_knot_coefficients(self._log_z, self._log_e)
-                      if zeta.size >= 4 else None)
-        self._hi_slope = ((self._log_e[-1] - self._log_e[-2])
-                          / (self._log_z[-1] - self._log_z[-2]))
+        # row i starts at knot i; row n - 1 continues the last slope
+        slope = np.diff(self._log_e) / np.diff(self._log_z)
+        zero = np.zeros_like(slope)
+        rows = (_not_a_knot_coefficients(self._log_z, self._log_e) if zeta.size >= 4
+                else np.stack([zero, zero, slope, self._log_e[:-1]], axis=1))
+        self._coef = np.vstack([rows, [0.0, 0.0, slope[-1], self._log_e[-1]]])
         self.low_freq_model = low_freq_model or self._fit_drude_tail()
 
     def _fit_drude_tail(self) -> DrudeModel:
@@ -255,28 +256,21 @@ class TabulatedPermittivity:
 
     def eps_minus_one(self, zeta):
         z = _validated_zeta(zeta)
-        scalar = z.ndim == 0
-        z = np.atleast_1d(z)
-        out = np.empty_like(z)
+        shape = z.shape
+        z = z.reshape(-1)
+        # clamped, the Horner value the Drude tail replaces stays finite
+        lz = np.maximum(np.log(z), self._log_z[0])
+        # `>`: the last knot stays on the spline's right end, bit-identical
+        # to the spline; z, not ln z, since ln z of a zeta just above the
+        # knot can round to the knot's
+        i = np.searchsorted(self._log_z[1:-1], lz, side="right") + (z > self.zeta[-1])
+        t = lz - self._log_z[i]
+        c0, c1, c2, c3 = self._coef.take(i, axis=0).T
+        out = np.exp(((c0 * t + c1) * t + c2) * t + c3)
         below = z < self.zeta[0]
-        above = z > self.zeta[-1]
-        inside = ~(below | above)
-        if np.any(inside):
-            lz = np.log(z[inside])
-            if self._coef is not None:
-                # interval index from the interior knots: 0 to n - 2, no clip
-                i = np.searchsorted(self._log_z[1:-1], lz, side="right")
-                t = lz - self._log_z[i]
-                c0, c1, c2, c3 = self._coef.take(i, axis=0).T
-                out[inside] = np.exp(((c0 * t + c1) * t + c2) * t + c3)
-            else:
-                out[inside] = np.exp(np.interp(lz, self._log_z, self._log_e))
         if np.any(below):
             out[below] = self.low_freq_model.eps_minus_one(z[below])
-        if np.any(above):
-            out[above] = np.exp(self._log_e[-1]
-                                + self._hi_slope * (np.log(z[above]) - self._log_z[-1]))
-        return float(out[0]) if scalar else out
+        return out.reshape(shape) if shape else float(out[0])
 
     def epsilon(self, zeta):
         return 1.0 + self.eps_minus_one(zeta)

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -124,11 +125,10 @@ class TestTabulated:
     @pytest.mark.parametrize("rows", [2, 3])
     def test_short_table_interpolates_linearly_in_log_log(self, rows):
         # fewer than four rows: log(eps - 1) linear in log zeta between the
-        # knots, the fitted Drude tail below them
+        # knots, the fitted Drude tail below them, the last slope above
         zeta = np.array([1e13, 1e14, 1e15])[:rows]
         eps = np.array([101.0, 11.0, 1.5])[:rows]
         tab = TabulatedPermittivity(zeta, eps)
-        assert tab._coef is None
         assert tab.eps_minus_one(zeta) == pytest.approx(eps - 1.0, rel=1e-14)
         mid = np.sqrt(zeta[:-1] * zeta[1:])
         assert tab.eps_minus_one(mid) == pytest.approx(np.sqrt((eps[:-1] - 1.0)
@@ -136,6 +136,8 @@ class TestTabulated:
         below = np.array([1e11, 5e12])
         assert isinstance(tab.low_freq_model, DrudeModel)
         assert np.array_equal(tab.eps_minus_one(below), tab.low_freq_model.eps_minus_one(below))
+        above = zeta[-1] * np.array([1.5, 10.0, 1e3])
+        assert np.array_equal(tab.eps_minus_one(above), _power_law(tab, above))
 
     def test_validation(self):
         for zeta in ([0.0, 2.0], [-1.0, 2.0]):
@@ -160,6 +162,44 @@ _GOLD_601 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "gol
 def _gold_table(lo, hi, rows):
     z = np.geomspace(lo, hi, rows)
     return TabulatedPermittivity(z, GOLD.epsilon(z))
+
+
+def _power_law(tab, zeta):
+    """exp(ln(eps_n - 1) + s (ln zeta - ln zeta_n)), s the last log-log slope."""
+    log_z, log_e = np.log(tab.zeta), np.log(tab.eps - 1.0)
+    slope = (log_e[-1] - log_e[-2]) / (log_z[-1] - log_z[-2])
+    return np.exp(log_e[-1] + slope * (np.log(zeta) - log_z[-1]))
+
+
+@pytest.mark.parametrize("table", [
+    lambda: load_permittivity_table(_GOLD_601),
+    lambda: _gold_table(1e13, 1e17, 2),
+    lambda: _gold_table(1e13, 1e17, 3),
+    lambda: _gold_table(1e13, 1e17, 4),
+], ids=["601-rows", "2-rows", "3-rows", "4-rows"])
+def test_above_the_table_is_the_last_slope_bit_for_bit(table):
+    tab = table()
+    hi = tab.zeta[-1]
+    above = np.concatenate([[np.nextafter(hi, math.inf)], hi * np.geomspace(1.001, 1e6, 60)])
+    assert np.array_equal(tab.eps_minus_one(above), _power_law(tab, above))
+
+
+def test_far_below_the_table_raises_no_floating_point_warning():
+    # ln(eps - 1) an exact cubic in ln zeta, which the spline reproduces:
+    # its first piece, continued to zeta = 1e-2, would overflow exp there
+    def cubic(x):
+        return 5.0 - (x - 30.0) - 0.02 * (x - 30.0) ** 3
+
+    assert cubic(math.log(1e-2)) > math.log(np.finfo(float).max)
+    x = np.linspace(math.log(1e13), math.log(1e16), 8)
+    tab = TabulatedPermittivity(np.exp(x), 1.0 + np.exp(cubic(x)))
+    probe = np.geomspace(1e-2, 0.999 * tab.zeta[0], 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = tab.eps_minus_one(probe)
+        alone = tab.eps_minus_one(1e-2)
+    assert np.array_equal(values, tab.low_freq_model.eps_minus_one(probe))
+    assert alone == values[0] and np.all(np.isfinite(values))
 
 
 class TestSplineAndFit:

@@ -10,6 +10,7 @@ form, at each rung.
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from lifshitz.constants import C_LIGHT, K_BOLTZMANN, ZETA3, ev_to_rad_per_s, mat
 from lifshitz.core import (IdealMetal, PlateSystem, TmOnlyIdealMetal, free_energy,
                            mode_integrals, pressure, zero_mode_integrals)
 from lifshitz.dispersion import (GOLD, ConstantPermittivity, DrudeModel, PlasmaModel,
-                                 TabulatedPermittivity)
+                                 TabulatedPermittivity, load_permittivity_table)
 from lifshitz.errors import ConvergenceError
+from lifshitz.zero_temp import free_energy_T0
 
 # (quantity, gap m, T K, m_max, value) at tol = 1e-6 with gold Drude.
 # The first stops by the direct rule and is pinned at rel 1e-12. The
@@ -49,6 +51,38 @@ def test_golden_sums(quantity, gap, temp, m_max, value):
     assert res.m_max == m_max
     rel = 1e-9 if m_max in core._EM_RUNGS else 1e-12
     assert _value(res) == pytest.approx(value, rel=rel)
+
+
+_GOLD_601 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "gold_drude_601.txt"
+
+# (gap m, T K, pressure, free energy) of the 601-row gold table at
+# tol = 1e-9, pinned bit for bit: they pass through the table's
+# piecewise cubic and its Drude tail at every row
+GOLDEN_TABLE = [
+    (0.2e-6, 77.0, -0.4923528576372905, -3.648455539190235e-08),
+    (0.2e-6, 300.0, -0.4837988815443969, -3.5396710003987364e-08),
+    (1e-6, 77.0, -0.0011050336557410004, -3.713143195138177e-10),
+    (1e-6, 300.0, -0.0009836886132536975, -3.1745111067171213e-10),
+    (8e-6, 77.0, -2.2322109067435495e-07, -6.024840354249337e-13),
+    (8e-6, 300.0, -3.8714734573188075e-07, -1.5478033203900617e-12),
+]
+
+
+@pytest.fixture(scope="module")
+def gold_601():
+    return load_permittivity_table(_GOLD_601)
+
+
+@pytest.mark.parametrize("gap, temp, p_value, f_value", GOLDEN_TABLE)
+def test_golden_table_sums(gap, temp, p_value, f_value, gold_601):
+    system = PlateSystem(gap, temp, gold_601)
+    assert pressure(system, tol=1e-9).pressure == p_value
+    assert free_energy(system, tol=1e-9).total == f_value
+
+
+def test_golden_table_zero_temperature(gold_601):
+    # the small-u rows lie below the table's first knot, on its Drude tail
+    assert free_energy_T0(1e-6, gold_601, tol=1e-8).f0 == -3.915133981577956e-10
 
 
 def _brute_force(model, gap, temp, kind):
@@ -836,6 +870,17 @@ def test_m_max_zero_reports_the_half_zero_mode(model):
     assert err.value.best_estimate == core._prefactor(system, "energy") * (0.5 * s0_tm
                                                                            + 0.5 * s0_te)
     assert err.value.error_estimate == math.inf
+
+
+@pytest.mark.parametrize("m_max", [-1, math.nan], ids=["neg", "nan"])
+@pytest.mark.parametrize("quantity", [free_energy, pressure])
+def test_m_max_below_zero_is_rejected_before_any_row(quantity, m_max, monkeypatch):
+    # unchecked, m_max = -1 ran no block and raised ConvergenceError
+    # "not converged after m = -1"
+    monkeypatch.setattr(core, "_log_reflection", _no_rows)
+    monkeypatch.setattr(DrudeModel, "zero_mode_log_reflection", _no_rows)
+    with pytest.raises(ValueError, match="m_max"):
+        quantity(PlateSystem(1e-6, 300.0, GOLD), m_max=m_max)
 
 
 def test_free_energy_terms_are_a_read_only_array():

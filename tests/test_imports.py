@@ -1,4 +1,5 @@
 """No module of the package imports a name it does not use or keeps a dead private one,
+no class of it assigns a private instance attribute (``self._x``) that no module reads,
 no function of it has a parameter it never reads,
 only ``quadrature`` selects worst panels to bisect (``np.argpartition``),
 no function of it calls ``zero_mode_integrals`` (the zero mode is the zeta = 0
@@ -80,6 +81,33 @@ def test_the_check_sees_an_unread_private_name():
 
 def test_no_unread_private_name():
     assert unread_private_names([p.read_text() for p in sorted(_PACKAGE.glob("*.py"))]) == []
+
+
+def unread_private_attributes(sources: list) -> list:
+    """Private instance attributes assigned as ``self._x`` that no module reads.
+
+    A read is an ``ast.Attribute`` in load context, on any object,
+    anywhere in ``sources``; dunder names are skipped.
+    """
+    assigned, read = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and getattr(node.value, "id", None) == "self"):
+                assigned.add(node.attr)
+    return sorted(name for name in assigned - read
+                  if name.startswith("_") and not name.endswith("__"))
+
+
+def test_the_check_sees_an_unread_private_attribute():
+    source = "self._dead, self._live, self.public, other._x = 1, 2, 3, 4\nprint(self._live)\n"
+    assert unread_private_attributes([source]) == ["_dead"]
+
+
+def test_no_unread_private_attribute():
+    assert unread_private_attributes([p.read_text() for p in sorted(_PACKAGE.glob("*.py"))]) == []
 
 
 def unread_parameters(source: str, module: str) -> list:
