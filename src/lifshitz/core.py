@@ -26,14 +26,12 @@ reflection coefficients are the analytic limits that each model gives
 as ``zero_mode_log_reflection(q)`` (Drude-like metals lose the TE zero
 mode, the plasma model keeps a q-dependent one).
 
-Each y integral runs on a fixed rule shifted to its own y0. The zero
-mode and rows with y0 < e^0.3 - 1 use the exp-sinh rule in x = y - y0
-(Takahasi and Mori, Publ. RIMS 9, 721 (1974)), whose double-exponential
-clustering at x -> 0 resolves the ln(1 - e^{-y}) endpoint layer: 106
-nodes at y0 >= 1e-8, 212 below and for the zero mode. Rows past
-e^0.3 - 1 use GK15 on a lean 11-panel mesh (165 nodes). A row's error
-estimate comes from the rule's own coarser subrule (every other exp-sinh
-node, or the Gauss nodes of each GK15 panel).
+Each y integral runs on one exp-sinh rule in x = y - y0, shifted to its
+own y0 (Takahasi and Mori, Publ. RIMS 9, 721 (1974)), whose
+double-exponential clustering at x -> 0 resolves the ln(1 - e^{-y})
+endpoint layer: 106 nodes at y0 >= 1e-8, 212 below and for the zero
+mode. A row's error estimate comes from the rule's own coarser subrule,
+every other node.
 
 The sum is evaluated in blocks of terms sized from their decay,
 e^{-kappa m} with kappa = 2 a zeta_1 / c. It stops at the first term
@@ -59,7 +57,8 @@ GK15 in t = sqrt(v): the u^{3/2} term of a Drude-like TE channel at
 small u, a v^{3/2} endpoint in v, is t^3 in t. A sum predicted to stop
 directly but still running at m = 192 tries the top rung. If the error
 estimate of the tail misses tol at every rung it tries (in practice
-only for tol below about 1e-12), the direct sum goes on instead.
+below about 1e-13, and at 1e-13 for some sums of a tabulated
+permittivity), the direct sum goes on instead.
 
 The tail's panels and start breaks (``_tail_panels``, ``_start_breaks``)
 also give the T = 0 free energy in ``zero_temp``: the same integral over
@@ -131,19 +130,18 @@ class ReflectionPair:
 class FreeEnergyResult:
     """Free energy per unit area, J/m^2.
 
-    ``terms`` is a read-only float64 array of the explicit terms
-    m = 0 .. ``m_max`` (m = 0 with its half weight); ``total``,
-    ``te_part`` and ``tm_part`` also hold the Euler-Maclaurin tail when
-    one was used. ``tail_estimate`` has the sign of the terms: it is the
-    geometric estimate of the dropped tail when the direct sum stopped,
-    or the error estimate of the Euler-Maclaurin tail (``m_max`` is then
-    the rung M where the tail starts: 32, 64 or 189).
+    ``total``, ``te_part`` and ``tm_part`` sum the explicit terms
+    m = 0 .. ``m_max`` (m = 0 with its half weight) and the
+    Euler-Maclaurin tail when one was used. ``tail_estimate`` has the
+    sign of the terms: it is the geometric estimate of the dropped tail
+    when the direct sum stopped, or the error estimate of the
+    Euler-Maclaurin tail (``m_max`` is then the rung M where the tail
+    starts: 32, 64 or 189).
     """
 
     total: float
     te_part: float
     tm_part: float
-    terms: np.ndarray
     m_max: int
     tail_estimate: float
 
@@ -177,18 +175,6 @@ _Y_OFFSETS = np.array([
     4.0, 6.0, 8.5, 11.5, 15.0, 19.0, 24.0, 30.0, 37.0, 45.0, 54.0,
 ])
 
-# GK15 on 11 panels at these offsets from y0 (165 nodes), for rows with
-# y0 >= _LEAN_Y0: past the endpoint layer these rows agree with a
-# 600-panel reference to a few 1e-15, and their error estimates stay
-# below 5e-14 (metals) and 5e-13 (dielectrics) of the row's TM + TE
-# value. A 9-panel mesh estimates up to 2e-11, which would send rows to
-# _refine_mode at tight tol. The switch sits at v = ln(1 + y0) = 0.3, a
-# break of _TAIL_BREAKS, so no tail panel straddles the roundoff-level
-# jump between the rules.
-_LEAN_Y0 = math.expm1(0.3)
-_LEAN_MESH = gk_panels(np.array([0.0, 0.1, 0.3, 0.8, 1.6, 3.5, 6.5, 10.5, 16.0, 24.0, 36.0,
-                                 54.0]))
-
 
 def _exp_sinh(h: float):
     """Exp-sinh rule on [0, inf): nodes x_k = exp((pi/2) sinh(k h)), weights
@@ -204,19 +190,19 @@ def _exp_sinh(h: float):
     return x[keep], w[keep], np.where(k % 2 == 0, 2.0 * w, 0.0)[keep]
 
 
-# Rows with y0 < _LEAN_Y0, and the zero mode, integrate by exp-sinh in
+# Every row, the zero mode included, integrates by exp-sinh in
 # x = y - y0. The double-exponential clustering of nodes at x -> 0
 # resolves the ln(1 - e^{-y}) endpoint layer and a Drude TE row's turn
 # at y ~ y0 sqrt(eps - 1) without graded panels. Against 600-panel GK
-# references (metals, dielectrics and the 601-row table at 0.1-10 um,
-# both kinds) every row is within 2.0e-15 of its TM + TE value, and so
-# is each channel that holds at least 1e-5 of it. h = 0.06 (106 nodes)
-# serves y0 >= _FINE_Y0; below it a Drude TE channel on h = 0.06 is
-# 1.9e-11 of itself off at 1 um and y0 = 1e-10, so h = 0.03 (212 nodes)
-# serves those rows and the zero mode. The TE channel of a dielectric at
-# small y0, about y0^2 of its row, has its structure at x ~ y0, which
-# neither step resolves: eps 3 reads 4.4e-5 of that channel off at
-# y0 = 1e-8.
+# references (metals, dielectrics and the 601-row table at 0.05-10 um,
+# y0 up to 100, both kinds) every row is within 2.0e-15 of its TM + TE
+# value, and each channel that holds at least 1e-5 of it within 3e-15.
+# h = 0.06 (106 nodes) serves y0 >= _FINE_Y0; below it a Drude TE
+# channel on h = 0.06 is 1.9e-11 of itself off at 1 um and y0 = 1e-10,
+# so h = 0.03 (212 nodes) serves those rows and the zero mode. The TE
+# channel of a dielectric at small y0, about y0^2 of its row, has its
+# structure at x ~ y0, which neither step resolves: eps 3 reads 4.4e-5
+# of that channel off at y0 = 1e-8.
 _FINE_Y0 = 1e-8
 _DE_MESH = _exp_sinh(0.06)
 _FINE_DE_MESH = _exp_sinh(0.03)
@@ -229,11 +215,14 @@ _ROW_CAP = 64
 
 
 def _gk_integrate(values, wk, wg):
-    """Row integrals over a reference mesh with a per-panel Kronrod error model.
+    """Row integrals over GK15 panels with a per-panel Kronrod error model.
 
     ``values`` has shape (R, nodes) and is overwritten (with its absolute
-    values); ``wk`` and ``wg`` are the mesh's Kronrod and Gauss weights,
-    15 per panel. Returns (integrals, errors), each (R,).
+    values); ``wk`` and ``wg`` are the panels' Kronrod and Gauss weights,
+    15 per panel. A panel's error is the QUADPACK rule
+    scale * min(1, (200 |K - G| / scale)^1.5). The t panels of
+    ``thermo._t_panels`` contract here; Matsubara rows use
+    ``_de_integrate``. Returns (integrals, errors), each (R,).
     """
     wk, wg = wk.reshape(-1, 15), wg.reshape(-1, 15)
     v = values.reshape(values.shape[:-1] + wk.shape)
@@ -381,20 +370,20 @@ def mode_integrals(model: ReflectionModel, gap: float, zetas, kind: str = "energ
     Returns (s_tm, s_te, err_tm, err_te), each shaped like ``zetas``.
     ``polarization`` ("both", "tm" or "te") names the channels computed;
     one not asked for is 0 with error 0, as one with R identically 0 is.
-    Row r is integrated on a reference rule shifted to start at its own
+    Row r is integrated on an exp-sinh rule shifted to start at its own
     y0 = 2 a zeta_r / c (nodes y0 + reference nodes, weights shared by
-    all rows): exp-sinh with h = 0.03 when y0 < ``_FINE_Y0``, with
-    h = 0.06 when y0 < ``_LEAN_Y0``, and the lean GK15 mesh past that.
-    A zeta = 0 row, the full-weight zero mode, is a group of its own on
-    h = 0.03 from y = 0, with the model's zero_mode_log_reflection(y / 2a).
-    Each rule is a smooth function of zeta, and a switch changes a row
-    by roundoff only; the one at ``_LEAN_Y0`` lies at v = ln(1 + y0) =
-    0.3, a panel break of the Euler-Maclaurin tail. So these values can
-    be differenced between a sum over integers and an integral over the
-    continuous index without quadrature artefacts. The rows of each rule
-    are evaluated at most ``_ROW_CAP`` at a time to bound the working
-    set and scattered back into place; a row's value does not depend on
-    the batch it is in. ValueError is raised before any row for an
+    all rows), with h = 0.03 when y0 < ``_FINE_Y0`` and h = 0.06 from
+    there up, and contracted by ``_de_integrate``, which also gives its
+    error estimate. A zeta = 0 row, the full-weight zero mode, is a group
+    of its own on h = 0.03 from y = 0, with the model's
+    zero_mode_log_reflection(y / 2a). Each rule is a smooth function of
+    zeta, and the step switch changes a row by roundoff only. So these
+    values can be differenced between a sum over integers and an
+    integral over the continuous index without quadrature artefacts.
+    The rows of each group are evaluated at most ``_ROW_CAP`` at a time
+    to bound the working set and scattered back into place; a row's
+    value does not depend on the batch it is in. ValueError is raised
+    before any row for an
     unknown ``kind`` or ``polarization``, a gap that is not finite and
     > 0, or a zeta that is not finite and >= 0.
     """
@@ -409,10 +398,8 @@ def mode_integrals(model: ReflectionModel, gap: float, zetas, kind: str = "energ
     zero = zetas == 0.0
     for mesh, group in ((_FINE_DE_MESH, zero),
                         (_FINE_DE_MESH, ~zero & (y0s < _FINE_Y0)),
-                        (_DE_MESH, (_FINE_Y0 <= y0s) & (y0s < _LEAN_Y0)),
-                        (_LEAN_MESH, y0s >= _LEAN_Y0)):
+                        (_DE_MESH, y0s >= _FINE_Y0)):
         ref_nodes, *weights = mesh
-        integrate = _gk_integrate if mesh is _LEAN_MESH else _de_integrate
         group = group.nonzero()[0]
         for lo in range(0, group.size, _ROW_CAP):
             rows = group[lo:lo + _ROW_CAP]
@@ -425,7 +412,7 @@ def mode_integrals(model: ReflectionModel, gap: float, zetas, kind: str = "energ
                 logs = _log_reflection(model, zetas[rows, None], nodes / y0, tm, te)
             for pol, ln_r in enumerate(logs):  # rows pol and pol + 2 of out: S, error
                 if ln_r is not None:
-                    out[pol::2, rows] = integrate(kernel(nodes, ln_r), *weights)
+                    out[pol::2, rows] = _de_integrate(kernel(nodes, ln_r), *weights)
     return tuple(out)
 
 
@@ -471,14 +458,16 @@ _TAIL_BREAKS = np.array([1e-4, 1e-3, 0.01, 0.05, 0.15, 0.3, 0.5, 0.8,
                          1.2, 1.7, 2.3, 3.0, 3.5, math.log(61.0)])
 # At tol >= _COARSE_TOL the first round of quadrature._bisect_panels
 # (at most quadrature._TAIL_PANEL_CAP = 32 panels) runs on the 8 breaks
-# {1e-3, 0.05, 0.3, 0.8, 1.7, 2.3, 3.5, ln 61} of _TAIL_BREAKS
-# (v = 0.3, the lean/exp-sinh switch, among them). For the T = 0 integral
-# of Drude, plasma, ideal and tabulated metals at 0.2-8 um they estimate
-# at most 1.5e-9 of it and move it by at most 1.4e-13 relative, so tol
-# 1e-8 needs no bisection. Tail-path sums at 0.2-4 um, 0.1-4 K move by
-# at most 1e-15 relative (Drude, plasma) and 2.1e-13 (601-row table).
-# Below 1e-8 the 14 breaks cost fewer rows than bisecting the 8 (a
-# switch at 1e-9 cost room-temperature sums 5% more rows).
+# {1e-3, 0.05, 0.3, 0.8, 1.7, 2.3, 3.5, ln 61} of _TAIL_BREAKS. No row
+# rule switches at v = 0.3; the break stays because the start of every
+# T = 0 integral and tail was sized and measured with it. For the T = 0
+# integral of Drude, plasma, ideal and tabulated metals at 0.2-8 um they
+# estimate at most 1.5e-9 of it and move it by at most 1.4e-13
+# relative, so tol 1e-8 needs no bisection. Tail-path sums at 0.2-4 um,
+# 0.1-4 K move by at most 1e-15 relative (Drude, plasma) and 2.1e-13
+# (601-row table). Below 1e-8 the 14 breaks cost fewer rows than
+# bisecting the 8 (a switch at 1e-9 cost room-temperature sums 5% more
+# rows).
 _COARSE = [1, 3, 5, 7, 9, 10, 12, 13]
 _COARSE_TOL = 1e-8
 
@@ -716,9 +705,7 @@ def _thermal_sum(system: PlateSystem, kind: str, tol: float, m_max: int):
     if kind == "pressure":
         return PressureResult(pressure=tm + te, te_part=te, tm_part=tm,
                               m_max=last_m, tail_estimate=pref * tail)
-    terms = pref * (terms_tm + terms_te)
-    terms.flags.writeable = False
-    return FreeEnergyResult(total=tm + te, te_part=te, tm_part=tm, terms=terms,
+    return FreeEnergyResult(total=tm + te, te_part=te, tm_part=tm,
                             m_max=last_m, tail_estimate=pref * tail)
 
 
@@ -728,7 +715,7 @@ def free_energy(system: PlateSystem, tol: float = 1e-6,
 
     ``tol`` controls both the summation truncation rule and the
     per-term quadrature target (tol/10). A sum that stops directly
-    returns its terms, its last index as ``m_max`` and the geometric
+    returns its last index as ``m_max`` and the geometric
     estimate of the dropped tail as ``tail_estimate``. A longer sum
     ends its explicit terms at the first rung M (32, 64 or 189) whose
     Euler-Maclaurin tail meets tol, returns M as ``m_max`` and adds the

@@ -1,13 +1,12 @@
 """Vectorized panel quadrature and numerically safe exponential kernels.
 
 Everything downstream integrates smooth integrands over graded panel
-meshes, except the Matsubara terms with small y0 and the zero mode,
-which ``core`` integrates by its exp-sinh rule. Two panel rules are
-provided:
+meshes, except the Matsubara terms, the zero mode included, which
+``core`` integrates by its exp-sinh rule. Two panel rules are provided:
 
-* a 7/15 Gauss-Kronrod pair, used by the other library integrals
-  (Matsubara terms with y0 >= ``core._LEAN_Y0``, the panels of the
-  integral over the Matsubara index and the numerical slope constant
+* a 7/15 Gauss-Kronrod pair, used by the other library integrals (the
+  panels of the integral over the Matsubara index, of the thermal
+  shifts and of ``core._refine_mode``, and the numerical slope constant
   ``asymptotics.te_slope_integral``);
 * plain Gauss-Legendre panels, used by no library path: only the
   tests' dense reference meshes, which share no rule with the library,
@@ -16,11 +15,10 @@ provided:
 Meshes are built row-wise: ``breaks`` with shape (R, P+1) produce node
 and weight matrices of shape (R, P*n) so a whole batch of integrals is
 one array evaluation. The Matsubara terms need no per-row mesh: each
-row's rule is one of three reference tables (``core``'s lean GK15 mesh,
-built once at import with ``gk_panels``, and its two exp-sinh tables)
-shifted by the row's lower limit. ``core`` adds each row's shift to the
-nodes and contracts all rows of a table against the same weights, at
-most 64 rows per evaluation to bound the working set.
+row's rule is one of ``core``'s two exp-sinh tables shifted by the
+row's lower limit. ``core`` adds each row's shift to the nodes and
+contracts all rows of a table against the same weights, at most 64 rows
+per evaluation to bound the working set.
 
 ``euler_maclaurin_endpoint`` is the one endpoint correction shared by
 the sum-minus-integral engine of ``thermo`` and the Euler-Maclaurin

@@ -136,8 +136,8 @@ def sum_minus_integral(h: Callable, tol: float = 0.0):
     (delta, floor). The floor adds three parts: the cancellation
     roundoff estimate, 2 eps (``_NOISE``) times the summed magnitudes of
     the terms and of the weighted integrand values; the panels'
-    quadrature error in the converged-panel model of the lean Matsubara
-    rows (``core._gk_integrate``); and the bound on the Euler-Maclaurin
+    quadrature error in the converged-panel GK15 model of
+    ``core._gk_integrate``; and the bound on the Euler-Maclaurin
     remainder from ``euler_maclaurin_endpoint``. ConvergenceError (best
     estimate NaN) is raised when a term or panel is not finite, and
     ValueError when ``tol`` is negative or NaN.

@@ -1,5 +1,6 @@
 """No module of the package imports a name it does not use or keeps a dead private one,
 no class of it assigns a private instance attribute (``self._x``) that no module reads,
+no dataclass of ``lifshitz.__all__`` has a field that no module reads,
 no function of it has a parameter it never reads,
 only ``quadrature`` selects worst panels to bisect (``np.argpartition``),
 no function of it calls ``zero_mode_integrals`` (the zero mode is the zeta = 0
@@ -9,6 +10,7 @@ the package, building the CLI parser, loading a table or making a table-backed c
 leaves scipy unloaded."""
 
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -108,6 +110,32 @@ def test_the_check_sees_an_unread_private_attribute():
 
 def test_no_unread_private_attribute():
     assert unread_private_attributes([p.read_text() for p in sorted(_PACKAGE.glob("*.py"))]) == []
+
+
+def unread_fields(sources: list, classes) -> list:
+    """``Class.field`` for each field of the dataclasses among ``classes``
+    that no source reads as an attribute (``ast.Attribute`` in load context,
+    on any object)."""
+    read = {node.attr for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{c.__name__}.{f.name}" for c in classes
+                  if isinstance(c, type) and dataclasses.is_dataclass(c)
+                  for f in dataclasses.fields(c) if f.name not in read)
+
+
+def test_the_check_sees_an_unread_field():
+    @dataclasses.dataclass
+    class Result:
+        value: float
+        kept: list
+
+    assert unread_fields(["print(res.value)\nres.kept = []\n"], [Result, len]) == ["Result.kept"]
+
+
+def test_no_unread_public_dataclass_field():
+    import lifshitz
+    sources = [p.read_text() for p in sorted(_PACKAGE.glob("*.py"))]
+    assert unread_fields(sources, [getattr(lifshitz, name) for name in lifshitz.__all__]) == []
 
 
 def unread_parameters(source: str, module: str) -> list:

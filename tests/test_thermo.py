@@ -347,12 +347,12 @@ class TestDenseMeshOracle:
     def test_plasma_against_mpmath(self):
         """Plasma free energy at 8 um and 1 mK, where the dense engine split
         at M = 128 is itself 4.2 floors off: the bracket at M = 32 on rows
-        integrated by GK15 on a y mesh at offsets from y0 (the 29-panel
-        dense mesh below y0 = e^0.3 - 1, the lean one above), the t
-        integral on 30 Gauss-Legendre panels of 20 nodes, and the 7-point
-        endpoint correction, all in 40-digit mpmath. The bracket on those
-        rows read 1.9 floors off it (its t mesh before the GK15 t panels
-        0.6); on the library's exp-sinh rows below e^0.3 - 1 it reads 2.3."""
+        integrated by GK15 on a y mesh at offsets from y0 (29 panels
+        below y0 = e^0.3 - 1, 11 above), the t integral on 30
+        Gauss-Legendre panels of 20 nodes, and the 7-point endpoint
+        correction, all in 40-digit mpmath. The bracket on those rows
+        read 1.9 floors off it (its t mesh before the GK15 t panels 0.6);
+        on the library's exp-sinh rows it reads 1.15."""
         reference = -5.90068188411321897074450686923e-11
         system = PlateSystem(8e-6, 1e-3, PlasmaModel(GOLD.omega_p))
         delta, floor = _brackets(lambda: free_energy_shift(system), dense=False)
@@ -495,6 +495,24 @@ class TestFreeEnergyShift:
     def test_validation(self):
         with pytest.raises(ValueError):
             free_energy_shift(PlateSystem(1e-6, 10.0, GOLD), polarization="tem")
+
+    @pytest.mark.parametrize("temp", [0.1, 1.0, 3.0, 10.0, 30.0])
+    @pytest.mark.parametrize("gap", [0.2e-6, 1e-6, 4e-6])
+    @pytest.mark.parametrize("model", [GOLD, PlasmaModel(GOLD.omega_p)], ids=["drude", "plasma"])
+    def test_two_paths_give_one_number(self, model, gap, temp):
+        """F(T) - F(0) as a direct difference, free_energy at tol 1e-13
+        less free_energy_T0 at 1e-13, agrees with the shift within the sum
+        of the three error estimates: the shift's floor, the sum's
+        tail_estimate and the T = 0 error. Measured worst: 0.092 of that
+        budget (gold, 0.2 um, 10 K); plasma at 0.2 um and 0.1 K is 2.4%
+        of its shift off, within 0.051 of the budget."""
+        system = PlateSystem(gap, temp, model)
+        direct = free_energy(system, tol=1e-13)
+        zero = free_energy_T0(gap, model, tol=1e-13)
+        delta, floor = _brackets(lambda: free_energy_shift(system), dense=False)
+        pref = _prefactor(system, "energy")
+        budget = abs(pref) * floor + abs(direct.tail_estimate) + zero.error_estimate
+        assert abs(direct.total - zero.f0 - pref * delta) <= budget
 
 
 def _ideal_metal_tm_pressure_shift(gap, temp):
